@@ -23,28 +23,21 @@ from .flowdata import FlowSystem, ParseError
 from .perturb import ChoiceError
 
 
+BUNDLED_FIXTURES = Path(__file__).parent / "fixtures"
+
+
 def fixtures_dir() -> Path:
     """The bundled fixture directory (overridable via $MSFLOW_FIXTURES)."""
-    env = os.environ.get("MSFLOW_FIXTURES")
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "fixtures"
+    return Path(os.environ.get("MSFLOW_FIXTURES") or BUNDLED_FIXTURES)
 
 
 def resolve_input(path_str: str) -> Path:
     """Resolve a file argument: literal path, then $MSFLOW_FIXTURES, then the
     bundled fixtures."""
     p = Path(path_str)
-    if p.exists():
-        return p
-    env = os.environ.get("MSFLOW_FIXTURES")
-    if env:
-        candidate = Path(env) / p.name
+    for candidate in (p, fixtures_dir() / p.name, BUNDLED_FIXTURES / p.name):
         if candidate.exists():
             return candidate
-    bundled = Path(__file__).parent / "fixtures" / p.name
-    if bundled.exists():
-        return bundled
     raise FileNotFoundError(f"cannot find {path_str!r} (also searched the fixture directories)")
 
 
@@ -54,17 +47,17 @@ def load_system(path_str: str) -> tuple[FlowSystem, str]:
     return system, system.label or path.stem
 
 
-def load_poset(path_str: str) -> tuple[poset.LabeledPoset, str, bool]:
+def load_poset(path_str: str) -> tuple[poset.LabeledPoset, str, FlowSystem | None]:
     """Load a .pos poset or the face poset of a gradient .msf system.
-    Returns (poset, display name, came-from-flow-system)."""
+    Returns (poset, display name, the flow system or None for a .pos file)."""
     path = resolve_input(path_str)
     if path.suffix == ".pos":
-        return poset.parse_poset(path.read_text()), path.stem, False
+        return poset.parse_poset(path.read_text()), path.stem, None
     system = flowdata.parse(path.read_text())
     if system.orbits():
         names = ", ".join(e.name for e in system.orbits())
         raise ValueError(f"{path.name} contains closed orbits ({names}); run 'msflow perturb' first")
-    return poset.face_poset(system), system.label or path.stem, True
+    return poset.face_poset(system), system.label or path.stem, system
 
 
 def emit(args, payload: dict, text: str) -> None:
@@ -257,14 +250,12 @@ def cmd_poset(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    pa, name_a, from_flow_a = load_poset(args.file_a)
-    pb, name_b, from_flow_b = load_poset(args.file_b)
+    pa, name_a, system_a = load_poset(args.file_a)
+    pb, name_b, system_b = load_poset(args.file_b)
     verdict = poset.is_isomorphic(pa, pb)
 
     summary: str | None = None
-    if from_flow_a and from_flow_b:
-        system_a, _ = load_system(args.file_a)
-        system_b, _ = load_system(args.file_b)
+    if system_a is not None and system_b is not None:
         summary = poset.cell_equivalence_verdict(system_a, system_b).summary
 
     payload = {

@@ -13,9 +13,7 @@ and ``betti`` refuses to compute homology while any exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .flowdata import FlowSystem, Violation, validate
 from .gf2 import MatrixGF2, multiply, rank
@@ -122,16 +120,15 @@ def build_complex(s: FlowSystem) -> ChainComplexGF2:
         level += [BasisElement(e.name, PLUS, k) for e in s.elements if e.is_orbit and e.index == k - 1]
         bases.append(tuple(level))
 
+    # Entry (row, col) is the parity of c(col.origin, row.origin).  The two
+    # copies of one orbit get 0 because self-connections are unrepresentable.
+    odd = [pair for pair, c in s.connections.items() if c & 1]
+    positions = [{e.origin: i for i, e in enumerate(level)} for level in bases]
     boundaries: list[MatrixGF2] = [MatrixGF2.zeros(0, len(bases[0]))]
     for k in range(1, n + 1):
-        rows, cols = bases[k - 1], bases[k]
-        mat = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-        for j, col in enumerate(cols):
-            for i, row in enumerate(rows):
-                if col.origin == row.origin:
-                    continue  # both copies of one orbit: coefficient 0
-                mat[i, j] = s.connections.parity(col.origin, row.origin)
-        boundaries.append(MatrixGF2(mat))
+        row_of, col_of = positions[k - 1], positions[k]
+        ones = [(row_of[dst], col_of[src]) for src, dst in odd if src in col_of and dst in row_of]
+        boundaries.append(MatrixGF2.from_ones(len(bases[k - 1]), len(bases[k]), ones))
 
     return ChainComplexGF2(top_degree=n, bases=tuple(bases), boundaries=tuple(boundaries))
 
@@ -216,14 +213,27 @@ def compare_matrices(
 
     cells: list[DiffCell] = []
     for k in range(1, a.top_degree + 1):
-        rows_a, cols_a = a.basis(k - 1), a.basis(k)
-        row_pos_b = {elem: i for i, elem in enumerate(b.basis(k - 1))}
-        col_pos_b = {elem: j for j, elem in enumerate(b.basis(k))}
-        mat_a, mat_b = a.boundary(k), b.boundary(k)
-        for i, row in enumerate(rows_a):
-            for j, col in enumerate(cols_a):
-                left = mat_a[i, j]
-                right = mat_b[row_pos_b[correspondence[row]], col_pos_b[correspondence[col]]]
-                if left != right:
-                    cells.append(DiffCell(degree=k, row=row, col=col, left=left, right=right))
+        axes_a, axes_b = (a.basis(k - 1), a.basis(k)), (b.basis(k - 1), b.basis(k))
+        cells += diff_cells(k, a.boundary(k), b.boundary(k), axes_a, axes_b, correspondence)
     return MatrixDiff(cells=tuple(cells))
+
+
+Axes = tuple[Sequence[BasisElement], Sequence[BasisElement]]
+
+
+def diff_cells(
+    degree: int, left: MatrixGF2, right: MatrixGF2, left_axes: Axes, right_axes: Axes,
+    correspondence: Mapping[BasisElement, BasisElement],
+) -> list[DiffCell]:
+    """Entries where ``left`` differs from ``right``, in row-major order.  Each
+    matrix is indexed by its (row basis, column basis) axes, and
+    ``correspondence`` maps the left axes bijectively onto the right ones."""
+    rows, cols = left_axes
+    row_of = {correspondence[x]: i for i, x in enumerate(rows)}
+    col_of = {correspondence[x]: j for j, x in enumerate(cols)}
+    ones_left = set(left.nonzero_entries())
+    ones_right = {(row_of[right_axes[0][i]], col_of[right_axes[1][j]]) for i, j in right.nonzero_entries()}
+    return [
+        DiffCell(degree=degree, row=rows[i], col=cols[j], left=int((i, j) in ones_left), right=int((i, j) in ones_right))
+        for i, j in sorted(ones_left ^ ones_right)
+    ]

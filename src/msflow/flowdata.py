@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
 
 NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+DIGITS_RE = re.compile(r"[0-9]+")
 
 REST = "rest"
 ORBIT = "orbit"
@@ -225,7 +226,9 @@ def parse(text: str | bytes) -> FlowSystem:
         if directive == "dim":
             if dimension is not None:
                 raise ParseError(lineno, "duplicate dim directive")
-            dimension = _parse_int(lineno, args, "dim", want=1)
+            if len(args) != 1:
+                raise ParseError(lineno, "dim needs 1 argument(s)")
+            dimension = read_int(lineno, args[0])
             if dimension < 1:
                 raise ParseError(lineno, f"dimension must be >= 1, got {dimension}")
         elif directive == "label":
@@ -239,18 +242,18 @@ def parse(text: str | bytes) -> FlowSystem:
                 raise ParseError(lineno, "duplicate expect-betti directive")
             if len(args) != dimension + 1:
                 raise ParseError(lineno, f"expect-betti needs {dimension + 1} counts for dim {dimension}, got {len(args)}")
-            expected = tuple(_to_int(lineno, a, minimum=0) for a in args)
+            expected = tuple(read_int(lineno, a) for a in args)
         elif directive == "rest":
             if len(args) != 2:
                 raise ParseError(lineno, f"rest needs <name> <index>, got {rest!r}")
-            name, index = args[0], _to_int(lineno, args[1], minimum=0)
+            name, index = args[0], read_int(lineno, args[1])
             _check_name(lineno, name, names)
             elements.append(CriticalElement(name, REST, index))
             names.add(name)
         elif directive == "orbit":
             if len(args) != 3 or args[2] not in ("twisted", "untwisted"):
                 raise ParseError(lineno, f"orbit needs <name> <index> <twisted|untwisted>, got {rest!r}")
-            name, index = args[0], _to_int(lineno, args[1], minimum=0)
+            name, index = args[0], read_int(lineno, args[1])
             _check_name(lineno, name, names)
             elements.append(CriticalElement(name, ORBIT, index, twisted=args[2] == "twisted"))
             names.add(name)
@@ -258,7 +261,7 @@ def parse(text: str | bytes) -> FlowSystem:
             if len(args) != 3:
                 raise ParseError(lineno, f"conn needs <source> <target> <count>, got {rest!r}")
             src, dst = args[0], args[1]
-            count = _to_int(lineno, args[2], minimum=1)
+            count = read_int(lineno, args[2], minimum=1)
             for endpoint in (src, dst):
                 if endpoint not in names:
                     raise ParseError(lineno, f"unknown element {endpoint!r}")
@@ -289,21 +292,15 @@ def _check_name(lineno: int, name: str, seen: set[str]) -> None:
         raise ParseError(lineno, f"duplicate element name {name!r}")
 
 
-def _to_int(lineno: int, token: str, minimum: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(lineno, f"expected an integer, got {token!r}") from None
+def read_int(lineno: int, token: str, minimum: int = 0) -> int:
+    """The integer spelled by ``token``, which must be ASCII digits only, so
+    that every accepted file serializes back to the same text."""
+    if not DIGITS_RE.fullmatch(token):
+        raise ParseError(lineno, f"expected an integer (digits 0-9), got {token!r}")
+    value = int(token)
     if value < minimum:
-        kind = "a positive" if minimum > 0 else "a non-negative"
-        raise ParseError(lineno, f"expected {kind} integer, got {value}")
+        raise ParseError(lineno, f"expected a positive integer, got {value}")
     return value
-
-
-def _parse_int(lineno: int, args: list[str], directive: str, want: int) -> int:
-    if len(args) != want:
-        raise ParseError(lineno, f"{directive} needs {want} argument(s)")
-    return _to_int(lineno, args[0], minimum=0)
 
 
 def serialize(s: FlowSystem) -> str:

@@ -27,6 +27,7 @@ from .ejcomplex import (
     PLUS,
     build_complex,
     compare_matrices,
+    diff_cells,
     multiply,
 )
 from .flowdata import (
@@ -36,6 +37,7 @@ from .flowdata import (
     ParseError,
     direct_downstream,
     direct_upstream,
+    read_int,
     remove_orbit_stub,
 )
 
@@ -350,38 +352,25 @@ def verify_franks_claims(before: FlowSystem, after: PerturbationResult) -> Claim
         ),
     )
 
-    products_equal = True
-    products_zero = True
+    products_equal = products_zero = True
     for j in range(2, cx_before.top_degree + 1):
         prod_before = multiply(cx_before.boundary(j - 1), cx_before.boundary(j))
         prod_after = multiply(cx_after.boundary(j - 1), cx_after.boundary(j))
         products_zero = products_zero and prod_before.is_zero() and prod_after.is_zero()
-        rows_b = {elem: i for i, elem in enumerate(cx_after.basis(j - 2))}
-        cols_b = {elem: i for i, elem in enumerate(cx_after.basis(j))}
-        for i, row in enumerate(cx_before.basis(j - 2)):
-            for jj, col in enumerate(cx_before.basis(j)):
-                if prod_before[i, jj] != prod_after[rows_b[bijection[row]], cols_b[bijection[col]]]:
-                    products_equal = False
+        axes = [(cx.basis(j - 2), cx.basis(j)) for cx in (cx_before, cx_after)]
+        products_equal = products_equal and not diff_cells(j, prod_before, prod_after, *axes, bijection)
 
     return ClaimsReport(case=case, outcomes=outcomes, products_equal=products_equal, products_zero=products_zero)
 
 
 def _line_witnesses(cx, degree: int, row: BasisElement | None = None, col: BasisElement | None = None) -> tuple[str, ...]:
     """Nonzero entries along one row or column of a boundary matrix."""
-    mat = cx.boundary(degree)
     rows, cols = cx.basis(degree - 1), cx.basis(degree)
-    found = []
-    if row is not None:
-        i = rows.index(row)
-        for j, c in enumerate(cols):
-            if mat[i, j]:
-                found.append(f"d_{degree}[{row.label}, {c.label}] = 1")
-    if col is not None:
-        j = cols.index(col)
-        for i, r in enumerate(rows):
-            if mat[i, j]:
-                found.append(f"d_{degree}[{r.label}, {col.label}] = 1")
-    return tuple(found)
+    return tuple(
+        f"d_{degree}[{rows[i].label}, {cols[j].label}] = 1"
+        for i, j in cx.boundary(degree).nonzero_entries()
+        if rows[i] == row or cols[j] == col
+    )
 
 
 def _cell_str(cell: DiffCell) -> str:
@@ -466,13 +455,7 @@ def parse_choice(text: str | bytes) -> ChoiceDescriptor:
         elif directive in maps:
             if len(args) != 2:
                 raise ParseError(lineno, f"{directive} needs <element> <count>")
-            name = args[0]
-            try:
-                count = int(args[1])
-            except ValueError:
-                raise ParseError(lineno, f"expected an integer count, got {args[1]!r}") from None
-            if count < 1:
-                raise ParseError(lineno, f"count must be positive, got {count}")
+            name, count = args[0], read_int(lineno, args[1], minimum=1)
             if name in maps[directive]:
                 raise ParseError(lineno, f"duplicate {directive} line for {name!r}")
             maps[directive][name] = count

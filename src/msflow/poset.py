@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .ejcomplex import InvalidSystemError
-from .flowdata import NAME_RE, FlowSystem, ParseError, validate
+from .flowdata import NAME_RE, FlowSystem, ParseError, read_int, validate
 from .perturb import ChoiceDescriptor, resolve_all_detailed
 
 
@@ -173,13 +173,7 @@ def parse_poset(text: str | bytes) -> LabeledPoset:
                 raise ParseError(lineno, f"invalid name {name!r}")
             if name in labels:
                 raise ParseError(lineno, f"duplicate node {name!r}")
-            try:
-                label = int(args[1])
-            except ValueError:
-                raise ParseError(lineno, f"expected an integer label, got {args[1]!r}") from None
-            if label < 0:
-                raise ParseError(lineno, f"label must be non-negative, got {label}")
-            labels[name] = label
+            labels[name] = read_int(lineno, args[1])
         elif directive == "lt":
             if len(args) != 2:
                 raise ParseError(lineno, "lt needs <a> <b>")

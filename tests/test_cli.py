@@ -1,9 +1,13 @@
 """Command-line behavior: exit codes, golden renderings, deterministic
 perturbation output, and agreement between text, JSON, and library facts."""
 
+import importlib
 import json
+import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,7 +345,54 @@ def test_module_entry_point_runs():
     assert "b0=1 b1=0 b2=1" in result.stdout
 
 
+def console_script_target() -> str:
+    """The ``msflow`` entry of [project.scripts] in pyproject.toml."""
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return re.search(r'^msflow\s*=\s*"([^"]+)"', section, re.M)[1]
+
+
 def test_console_script_runs():
-    result = subprocess.run(["msflow", "--help"], capture_output=True, text=True)
-    assert result.returncode == 0
-    assert "validate" in result.stdout and "census" in result.stdout
+    """The console script works without an install: its target imports, and
+    calling it, ``python -m msflow`` and any ``msflow`` executable on PATH
+    all print the subcommand help."""
+    module, _, attr = console_script_target().partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+    commands = [
+        [sys.executable, "-c", f"import sys; from {module} import {attr}; sys.exit({attr}())", "--help"],
+        [sys.executable, "-m", "msflow", "--help"],
+    ]
+    if shutil.which("msflow"):
+        commands.append(["msflow", "--help"])
+    for command in commands:
+        result = subprocess.run(command, capture_output=True, text=True)
+        assert result.returncode == 0, command
+        assert "validate" in result.stdout and "census" in result.stdout
+
+
+# Prints, on its last line, the top-level packages outside the standard
+# library that ``import msflow`` (no arguments) or ``python -m msflow <args>``
+# adds to sys.modules.
+LOAD_PROBE = """
+import runpy, sys
+startup = set(sys.modules)
+if len(sys.argv) > 1:
+    sys.argv = ["msflow", *sys.argv[1:]]
+    try:
+        runpy.run_module("msflow", run_name="__main__", alter_sys=True)
+    except SystemExit as done:
+        assert done.code == 0, done.code
+else:
+    import msflow
+loaded = {name.split(".")[0] for name in set(sys.modules) - startup}
+print(sorted(loaded - set(sys.stdlib_module_names)))
+"""
+
+
+@pytest.mark.parametrize("argv", [[], ["homology", "fig5.msf"]])
+def test_msflow_loads_only_the_standard_library(argv):
+    """Zero runtime dependencies: importing msflow or running a command loads
+    nothing outside the standard library but msflow itself."""
+    result = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "['msflow']"

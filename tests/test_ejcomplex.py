@@ -4,6 +4,8 @@ the d-squared check, Betti numbers, and matrix comparison."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msflow import (
     BasisElement,
@@ -111,6 +113,33 @@ def test_build_complex_is_deterministic(fig5):
     a = build_complex(fig5)
     b = build_complex(load_fixture("fig5.msf"))
     assert a == b
+
+
+def dense_boundary(system, cx, k) -> list[list[int]]:
+    """The defining formula, entry by entry: the parity of the connection
+    count from the column's origin to the row's origin, 0 for one origin."""
+    return [
+        [0 if col.origin == row.origin else system.connections.parity(col.origin, row.origin) for col in cx.basis(k)]
+        for row in cx.basis(k - 1)
+    ]
+
+
+def assert_boundaries_match_definition(system):
+    cx = build_complex(system)
+    for k in range(1, cx.top_degree + 1):
+        assert cx.boundary(k).shape == (len(cx.basis(k - 1)), len(cx.basis(k)))
+        assert cx.boundary(k).tolist() == dense_boundary(system, cx, k)
+
+
+@pytest.mark.parametrize("name", all_msf_fixtures())
+def test_boundaries_match_the_dense_definition_on_fixtures(name):
+    assert_boundaries_match_definition(load_fixture(name))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_boundaries_match_the_dense_definition_on_random_systems(seed):
+    assert_boundaries_match_definition(random_valid_system(random.Random(seed), max_elements=12))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,22 @@ def test_parse_error_reports_offending_line_number():
     assert exc.value.line == 3
 
 
+LAX_INTEGERS = ["1_0", "+1", "\u0662", "1\u0661"]  # int() accepts all of these
+
+
+@pytest.mark.parametrize("token", LAX_INTEGERS)
+def test_parse_accepts_only_ascii_digit_integers(token):
+    for text, line in [
+        (f"dim 2\nrest a 0\nrest b 1\nconn b a {token}\n", 4),
+        (f"dim 2\nrest a {token}\n", 2),
+        (f"dim {token}\n", 1),
+        (f"dim 2\nexpect-betti 1 {token} 1\n", 2),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line == line
+
+
 def test_parse_does_not_enforce_semantic_rules():
     # Index out of range and a saddle-to-saddle connection parse fine; they
     # are the validator's business.

@@ -8,8 +8,9 @@ brute-force XOR closure without any row reduction.
 import itertools
 import random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msflow import MatrixGF2, kernel_dim, multiply, rank, rref
 from msflow.gf2 import row_reduce
@@ -43,13 +44,37 @@ def test_entries_and_shape():
     assert m.rows == 3 and m.cols == 2
     assert m[2, 0] == 1 and m[0, 1] == 0
     assert m.tolist() == [[1, 0], [0, 1], [1, 1]]
+    assert m[1, -1] == 1 and m[-1, -2] == 1
+    for key in [(0, 2), (3, 0), (0, -3)]:
+        with pytest.raises(IndexError):
+            m[key]
 
 
 def test_rejects_non_bit_entries():
     with pytest.raises(ValueError):
         MatrixGF2([[0, 2]])
     with pytest.raises(ValueError):
-        MatrixGF2(np.array([[0.5]]))
+        MatrixGF2([[0.5]])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1, 0], [1]],  # ragged
+        [[1], [0, 1]],  # ragged the other way
+        [[1.0]],  # float, even when integral
+        [["1"]],  # string entries
+        ["10"],  # string rows
+        "10",
+        [1, 0],  # one-dimensional
+        [[[1]]],  # three-dimensional
+        5,  # not a sequence at all
+        [[None]],
+    ],
+)
+def test_constructor_rejects_non_matrix_data(data):
+    with pytest.raises(ValueError):
+        MatrixGF2(data)
 
 
 def test_empty_matrices_are_valid_with_rank_zero():
@@ -61,7 +86,7 @@ def test_empty_matrices_are_valid_with_rank_zero():
 
 def test_equality_and_hash():
     a = MatrixGF2([[1, 0], [1, 1]])
-    b = MatrixGF2(np.array([[1, 0], [1, 1]], dtype=np.uint8))
+    b = MatrixGF2(((True, False), (True, True)))  # any __index__ entries
     c = MatrixGF2([[1, 0], [0, 1]])
     assert a == b and hash(a) == hash(b)
     assert a != c
@@ -70,11 +95,11 @@ def test_equality_and_hash():
 
 def test_values_are_immutable():
     m = MatrixGF2([[1, 0], [0, 1]])
-    arr = m.array()
-    arr[0, 0] = 0  # mutating the copy must not touch the matrix
+    entries = m.tolist()
+    entries[0][0] = 0  # mutating the copy must not touch the matrix
     assert m[0, 0] == 1
-    with pytest.raises((ValueError, TypeError)):
-        m._data[0, 0] = 0  # the backing array itself is locked
+    with pytest.raises(TypeError):
+        m[0, 0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +238,92 @@ def test_rank_of_product_bounded_by_factor_ranks():
         p, q, r = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
         a, b = random_matrix(rng, p, q), random_matrix(rng, q, r)
         assert rank(multiply(a, b)) <= min(rank(a), rank(b))
+
+
+# ---------------------------------------------------------------------------
+# properties against textbook definitions, at widths past one machine word
+
+
+@st.composite
+def bit_lists(draw, rows: int, cols: int) -> list[list[int]]:
+    """A rows x cols 0/1 table, drawn one row-sized integer at a time."""
+    words = draw(st.lists(st.integers(0, 2**cols - 1), min_size=rows, max_size=rows))
+    return [[(w >> j) & 1 for j in range(cols)] for w in words]
+
+
+def as_matrix(entries: list[list[int]], cols: int) -> MatrixGF2:
+    return MatrixGF2(entries) if entries else MatrixGF2.zeros(0, cols)
+
+
+def textbook_product(a: list[list[int]], b: list[list[int]], cols: int) -> list[list[int]]:
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) % 2 for j in range(cols)] for row in a]
+
+
+def textbook_rref(entries: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Column-by-column Gauss-Jordan elimination on lists of 0/1 entries."""
+    rows = [list(r) for r in entries]
+    pivots: list[int] = []
+    for col in range(cols):
+        r0 = len(pivots)
+        pivot = next((r for r in range(r0, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[r0], rows[pivot] = rows[pivot], rows[r0]
+        for r in range(len(rows)):
+            if r != r0 and rows[r][col]:
+                rows[r] = [x ^ y for x, y in zip(rows[r], rows[r0])]
+        pivots.append(col)
+    return rows, pivots
+
+
+SMALL = st.integers(0, 6)
+PRODUCT_SHAPES = st.one_of(st.tuples(SMALL, SMALL, SMALL), st.sampled_from([(3, 70, 130), (70, 130, 3), (2, 64, 65)]))
+RANK_SHAPES = st.one_of(st.tuples(SMALL, SMALL), st.sampled_from([(3, 70), (70, 130), (65, 64), (130, 70)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), PRODUCT_SHAPES)
+def test_multiply_is_the_textbook_sum_mod_2(data, shape):
+    p, q, r = shape
+    a, b = data.draw(bit_lists(p, q)), data.draw(bit_lists(q, r))
+    assert multiply(as_matrix(a, q), as_matrix(b, r)).tolist() == textbook_product(a, b, r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), RANK_SHAPES)
+def test_rank_and_rref_match_gauss_jordan_elimination(data, shape):
+    rows, cols = shape
+    entries = data.draw(bit_lists(rows, cols))
+    m = as_matrix(entries, cols)
+    expected, pivots = textbook_rref(entries, cols)
+    assert rank(m) == len(pivots)
+    assert row_reduce(m) == (as_matrix(expected, cols), tuple(pivots))
+    transposed = [[row[j] for row in entries] for j in range(cols)]
+    assert rank(as_matrix(transposed, rows)) == rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.tuples(st.integers(0, 8), st.integers(0, 8)))
+def test_rank_matches_span_oracle(data, shape):
+    rows, cols = shape
+    m = as_matrix(data.draw(bit_lists(rows, cols)), cols)
+    assert rank(m) == span_rank(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.tuples(st.integers(0, 6), st.integers(0, 70)))
+def test_from_ones_and_nonzero_entries_agree_with_entries(data, shape):
+    rows, cols = shape
+    entries = data.draw(bit_lists(rows, cols))
+    m = as_matrix(entries, cols)
+    ones = [(i, j) for i in range(rows) for j in range(cols) if entries[i][j]]
+    assert m.nonzero_entries() == ones
+    assert MatrixGF2.from_ones(rows, cols, ones) == m
+    assert all(m[i, j] == entries[i][j] for i in range(rows) for j in range(cols))
+
+
+def test_from_ones_rejects_positions_outside_the_shape():
+    with pytest.raises(ValueError):
+        MatrixGF2.from_ones(2, 3, [(0, 3)])
+    with pytest.raises(ValueError):
+        MatrixGF2.from_ones(2, 3, [(2, 0)])

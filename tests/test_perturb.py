@@ -23,6 +23,7 @@ from msflow import (
     validate,
     verify_franks_claims,
 )
+from msflow import ParseError
 from msflow.perturb import validate_choice
 
 from conftest import load_fixture
@@ -339,3 +340,10 @@ def test_parse_choice_rejects_malformed_text():
         parse_choice("orbit g\nnew p q\npout a 0\n")  # non-positive count
     with pytest.raises(ValueError):
         parse_choice("orbit g\nnew p q\nfrob a 1\n")  # unknown directive
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0662", "1\u0661"])
+def test_parse_choice_accepts_only_ascii_digit_counts(token):
+    with pytest.raises(ParseError) as exc:
+        parse_choice(f"orbit g\nnew p q\npout a {token}\n")
+    assert exc.value.line == 3

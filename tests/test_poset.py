@@ -19,6 +19,7 @@ from msflow import (
     parse,
     parse_poset,
 )
+from msflow import ParseError
 from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT
 
 from conftest import fixture_path, load_fixture
@@ -58,6 +59,13 @@ def test_parse_poset_errors():
         parse_poset("node a zero\n")
     with pytest.raises(ValueError):
         parse_poset("node a 0\nnode b 1\nlt a b\nlt b a\n")  # cycle
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0662", "1\u0661", "-1"])
+def test_parse_poset_accepts_only_ascii_digit_labels(token):
+    with pytest.raises(ParseError) as exc:
+        parse_poset(f"node x 0\nnode a {token}\n")
+    assert exc.value.line == 2
 
 
 def test_transitivity_through_chains():
