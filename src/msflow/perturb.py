@@ -230,6 +230,10 @@ def enumerate_choices_2d(
     the new saddle p is fed by any size-2 multiset of index-2 rest points or
     repelling orbits upstream; p's only outgoing flow is the double
     connection to q that every replacement carries.
+
+    Unless given, p and q are named ``p_<orbit>`` and ``q_<orbit>``, or, when
+    s already has an element of that name, the first free ``p_<orbit>_<k>``
+    (k = 2, 3, ...), and likewise for q.
     """
     if s.dimension != 2:
         raise ValueError(f"choice enumeration is only defined in dimension 2 (got {s.dimension})")
@@ -239,8 +243,8 @@ def enumerate_choices_2d(
     if gamma.index not in (0, s.dimension - 1):
         raise ValueError(f"orbit index {gamma.index} outside the handled range {{0, {s.dimension - 1}}}")
 
-    p_name = p_name or f"p_{orbit_name}"
-    q_name = q_name or f"q_{orbit_name}"
+    p_name = p_name or _fresh_name(s, f"p_{orbit_name}")
+    q_name = q_name or _fresh_name(s, f"q_{orbit_name}")
     down = direct_downstream(s, orbit_name)
     up = direct_upstream(s, orbit_name)
     choices: list[ChoiceDescriptor] = []
@@ -268,6 +272,15 @@ def enumerate_choices_2d(
                 ChoiceDescriptor(orbit=orbit_name, p_name=p_name, q_name=q_name, q_in=up, p_in=p_in)
             )
     return choices
+
+
+def _fresh_name(s: FlowSystem, stem: str) -> str:
+    """``stem`` if no element of s has that name, else the first free
+    ``stem_2``, ``stem_3``, ..."""
+    name, k = stem, 2
+    while s.has_element(name):
+        name, k = f"{stem}_{k}", k + 1
+    return name
 
 
 def _basis_bijection(
@@ -387,10 +400,8 @@ def resolve_all_detailed(
     of the per-orbit choice lists (re-enumerated on each intermediate system).
     """
     orbit_names = [e.name for e in s.elements if e.is_orbit]
-    if not orbit_names:
-        return [(s, ())]
     if descriptors is None:
-        if s.dimension != 2:
+        if orbit_names and s.dimension != 2:
             raise ValueError(
                 f"automatic choice enumeration is unsupported in dimension {s.dimension}; supply an explicit descriptor per orbit"
             )
@@ -399,19 +410,15 @@ def resolve_all_detailed(
         if missing:
             raise ValueError(f"no descriptor supplied for orbit(s) {missing}")
 
-    results: list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]] = []
-
-    def descend(current: FlowSystem, remaining: list[str], chosen: tuple[ChoiceDescriptor, ...]) -> None:
-        if not remaining:
-            results.append((current, chosen))
-            return
-        orbit = remaining[0]
-        options = [descriptors[orbit]] if descriptors is not None else enumerate_choices_2d(current, orbit)
-        for d in options:
-            outcome = apply_choice(current, d, check_claims=False)
-            descend(outcome.system, remaining[1:], chosen + (d,))
-
-    descend(s, orbit_names, ())
+    # One orbit at a time, extending every partial resolution by each of its
+    # choices in turn: the same order as a depth-first walk.
+    results: list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]] = [(s, ())]
+    for orbit in orbit_names:
+        results = [
+            (apply_choice(current, d, check_claims=False).system, chosen + (d,))
+            for current, chosen in results
+            for d in ([descriptors[orbit]] if descriptors is not None else enumerate_choices_2d(current, orbit))
+        ]
     return results
 
 

@@ -11,7 +11,7 @@ verdict vocabulary: a mismatch certifies NOT equivalent, a match is only
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .ejcomplex import InvalidSystemError
@@ -98,15 +98,20 @@ class LabeledPoset:
         return frozenset(b for b in self._nodes if name in self._down[b])
 
     def covers(self) -> list[tuple[str, str]]:
-        """Hasse diagram: pairs (a, b) with a < b and nothing strictly between."""
+        """Hasse diagram: pairs (a, b) with a < b and nothing strictly between.
+
+        Walking b's strict down-set from the largest down-set to the smallest
+        meets every c above a before a itself, so a is a cover exactly when
+        no cover kept so far has it below."""
         out = []
+        down = self._down
         for b in self._nodes:
-            for a in self._down[b]:
-                if a == b:
-                    continue
-                between = any(c != a and c != b and a in self._down[c] and c in self._down[b] for c in self._down[b])
-                if not between:
+            below = sorted((a for a in down[b] if a != b), key=lambda a: len(down[a]), reverse=True)
+            covered: set[str] = set()
+            for a in below:
+                if a not in covered:
                     out.append((a, b))
+                    covered |= down[a]
         return sorted(out)
 
     def renamed(self, mapping: Mapping[str, str], order: Sequence[str] | None = None) -> "LabeledPoset":
@@ -205,38 +210,54 @@ class Profile:
     downset_sizes: tuple[tuple[int, tuple[int, ...]], ...]
     incidence: tuple[tuple[int, int, tuple[int, ...]], ...]
     signatures: tuple[tuple, ...]
+    # Node -> signature, handed on to the search when two profiles agree.
+    _by_node: Mapping[str, tuple] = field(default_factory=dict, compare=False, repr=False)
 
 
-def _signature(p: LabeledPoset, name: str):
-    down = Counter(p.label(x) for x in p.downset(name))
-    up = Counter(p.label(x) for x in p.upset(name))
-    return (p.label(name), tuple(sorted(down.items())), tuple(sorted(up.items())))
+def _signatures(p: LabeledPoset) -> dict[str, tuple]:
+    """Node -> (label, label counts of its down-set, label counts of its
+    up-set); both sets include the node itself."""
+    label, down = p._label, p._down
+    up_labels: dict[str, list[int]] = {x: [] for x in p.nodes}
+    for y in p.nodes:
+        for x in down[y]:
+            up_labels[x].append(label[y])
+    return {
+        x: (
+            label[x],
+            tuple(sorted(Counter(label[z] for z in down[x]).items())),
+            tuple(sorted(Counter(up_labels[x]).items())),
+        )
+        for x in p.nodes
+    }
+
+
+def _profile(signatures: Mapping[str, tuple]) -> Profile:
+    """The profile read off the signatures: a down-set's size is the sum of
+    its label counts, and the incidence of x with label ``high`` is x's
+    up-set count at ``high``."""
+    by_label: dict[int, list[tuple]] = {}
+    for sig in signatures.values():
+        by_label.setdefault(sig[0], []).append(sig)
+    labels = sorted(by_label)
+    return Profile(
+        label_counts=tuple((l, len(by_label[l])) for l in labels),
+        downset_sizes=tuple(
+            (l, tuple(sorted(sum(c for _, c in down) for _, down, _ in by_label[l]))) for l in labels
+        ),
+        incidence=tuple(
+            (low, high, tuple(sorted(dict(up).get(high, 0) for _, _, up in by_label[low])))
+            for low in labels
+            for high in labels
+            if low < high
+        ),
+        signatures=tuple(sorted(signatures.values())),
+        _by_node=signatures,
+    )
 
 
 def invariant_profile(p: LabeledPoset) -> Profile:
-    labels = sorted({p.label(x) for x in p.nodes})
-    by_label = {l: [x for x in p.nodes if p.label(x) == l] for l in labels}
-
-    label_counts = tuple((l, len(by_label[l])) for l in labels)
-    downset_sizes = tuple((l, tuple(sorted(len(p.downset(x)) for x in by_label[l]))) for l in labels)
-
-    incidence = []
-    for low in labels:
-        for high in labels:
-            if low >= high:
-                continue
-            counts = tuple(
-                sorted(sum(1 for y in p.upset(x) if p.label(y) == high) for x in by_label[low])
-            )
-            incidence.append((low, high, counts))
-
-    signatures = tuple(sorted(_signature(p, x) for x in p.nodes))
-    return Profile(
-        label_counts=label_counts,
-        downset_sizes=downset_sizes,
-        incidence=tuple(incidence),
-        signatures=signatures,
-    )
+    return _profile(_signatures(p))
 
 
 @dataclass(frozen=True)
@@ -266,8 +287,7 @@ def check_mapping(a: LabeledPoset, b: LabeledPoset, mapping: Mapping[str, str]) 
     return True
 
 
-def _profile_certificate(a: LabeledPoset, b: LabeledPoset) -> str | None:
-    pa, pb = invariant_profile(a), invariant_profile(b)
+def _profile_certificate(pa: Profile, pb: Profile) -> str | None:
     if pa.label_counts != pb.label_counts:
         fmt = lambda p: "{" + ", ".join(f"{l}:{c}" for l, c in p.label_counts) + "}"  # noqa: E731
         return f"node counts per label differ: {fmt(pa)} vs {fmt(pb)}"
@@ -287,42 +307,55 @@ def _profile_certificate(a: LabeledPoset, b: LabeledPoset) -> str | None:
     return None
 
 
-def _search_isomorphism(a: LabeledPoset, b: LabeledPoset) -> dict[str, str] | None:
-    sig_a = {x: _signature(a, x) for x in a.nodes}
-    sig_b = {y: _signature(b, y) for y in b.nodes}
-    candidates = {x: [y for y in b.nodes if sig_b[y] == sig_a[x]] for x in a.nodes}
+def _search_isomorphism(
+    a: LabeledPoset, b: LabeledPoset, sig_a: Mapping[str, tuple], sig_b: Mapping[str, tuple]
+) -> dict[str, str] | None:
+    """Backtracking search for a label-preserving order isomorphism that maps
+    each node onto one of equal signature; ``sig_a``/``sig_b`` are the
+    nodes' signatures (see _signatures).  The stack is explicit, so long
+    chains need no recursion."""
+    by_sig: dict[tuple, list[str]] = {}
+    for y in b.nodes:
+        by_sig.setdefault(sig_b[y], []).append(y)
+    candidates = {x: by_sig.get(sig_a[x], []) for x in a.nodes}
     if any(not c for c in candidates.values()):
         return None
 
     # Most-constrained node first; among candidates try the same name first so
     # self-comparisons return the identity.
     order = sorted(a.nodes, key=lambda x: (len(candidates[x]), x))
+    options = [sorted(candidates[x], key=lambda y, x=x: (y != x, y)) for x in order]
+    down_a, down_b = a._down, b._down
     assignment: dict[str, str] = {}
     used: set[str] = set()
 
     def consistent(x: str, y: str) -> bool:
+        below_x, below_y = down_a[x], down_b[y]
         for x0, y0 in assignment.items():
-            if a.leq(x, x0) != b.leq(y, y0) or a.leq(x0, x) != b.leq(y0, y):
+            if (x in down_a[x0]) != (y in down_b[y0]) or (x0 in below_x) != (y0 in below_y):
                 return False
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        options = sorted(candidates[x], key=lambda y: (y != x, y))
-        for y in options:
-            if y in used or not consistent(x, y):
-                continue
-            assignment[x] = y
-            used.add(y)
-            if extend(i + 1):
-                return True
-            del assignment[x]
-            used.remove(y)
-        return False
-
-    return dict(assignment) if extend(0) else None
+    # next_option[i]: where the search resumes among options[i] when it
+    # comes back to depth i.
+    next_option = [0] * len(order)
+    depth = 0
+    while 0 <= depth < len(order):
+        x, opts = order[depth], options[depth]
+        i = next_option[depth]
+        while i < len(opts) and (opts[i] in used or not consistent(x, opts[i])):
+            i += 1
+        if i == len(opts):
+            next_option[depth] = 0
+            depth -= 1
+            if depth >= 0:
+                used.remove(assignment.pop(order[depth]))
+            continue
+        next_option[depth] = i + 1
+        assignment[x] = opts[i]
+        used.add(opts[i])
+        depth += 1
+    return assignment if depth == len(order) else None
 
 
 def is_isomorphic(a: LabeledPoset, b: LabeledPoset) -> IsoVerdict:
@@ -332,10 +365,11 @@ def is_isomorphic(a: LabeledPoset, b: LabeledPoset) -> IsoVerdict:
     downset sizes, incidence multisets, signatures); otherwise a backtracking
     search either produces a witness mapping or reports exhaustion.
     """
-    certificate = _profile_certificate(a, b)
+    pa, pb = invariant_profile(a), invariant_profile(b)
+    certificate = _profile_certificate(pa, pb)
     if certificate is not None:
         return IsoVerdict(isomorphic=False, certificate=certificate)
-    mapping = _search_isomorphism(a, b)
+    mapping = _search_isomorphism(a, b, pa._by_node, pb._by_node)
     if mapping is None:
         return IsoVerdict(
             isomorphic=False,
@@ -410,17 +444,26 @@ class CensusReport:
 def census(s: FlowSystem) -> CensusReport:
     """Resolve every orbit in all enumerable ways and group the resulting
     gradient-like systems by face-poset isomorphism.  Classes are reported in
-    order of first appearance; a gradient input yields a single class."""
+    order of first appearance; a gradient input yields a single class.
+
+    Each face poset's node signatures are computed once.  Isomorphic posets
+    have equal signature multisets, so a new poset is searched against only
+    the classes that share its sorted signatures, its key."""
     resolutions = resolve_all_detailed(s)
     classes: list[dict] = []
+    by_key: dict[tuple, list[dict]] = {}
     for system, choices in resolutions:
         poset = face_poset(system)
-        for cls in classes:
-            if is_isomorphic(cls["poset"], poset).isomorphic:
+        signatures = _signatures(poset)
+        bucket = by_key.setdefault(tuple(sorted(signatures.values())), [])
+        for cls in bucket:
+            if _search_isomorphism(cls["poset"], poset, cls["signatures"], signatures) is not None:
                 cls["members"].append(choices)
                 break
         else:
-            classes.append({"representative": system, "poset": poset, "members": [choices]})
+            cls = {"representative": system, "poset": poset, "signatures": signatures, "members": [choices]}
+            bucket.append(cls)
+            classes.append(cls)
     return CensusReport(
         total=len(resolutions),
         classes=tuple(

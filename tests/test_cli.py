@@ -255,6 +255,45 @@ def test_census_json_round_trips_the_library_facts(capsys):
     assert [{"q0": 1, "q1": 1}, {"q0": 1, "q2": 1}] in q_outs
 
 
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_census_output_matches_golden(capsys, name):
+    code, out, _ = run_cli(capsys, "census", f"{name}.msf")
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"census_{name}.txt").read_text()
+    code, out, _ = run_cli(capsys, "census", f"{name}.msf", "--json")
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"census_{name}.json").read_text()
+
+
+def test_census_with_a_clashing_sink_name(capsys, tmp_path):
+    # fig3 with its sink q0 renamed to the default name of the new source
+    text = fixture_path("fig3.msf").read_text()
+    clash = tmp_path / "fig3-clash.msf"
+    clash.write_text(text.replace("rest q0 0", "rest p_gamma 0").replace("conn gamma q0 1", "conn gamma p_gamma 1"))
+    code, out, err = run_cli(capsys, "census", str(clash))
+    assert (code, err) == (0, "")
+    assert out.startswith("census of fig3: 6 resolution(s) in 4 class(es)\n")
+    assert "orbit gamma -> (p_gamma_2, q_gamma)" in out
+
+
+def chain_pos(length: int, prefix: str) -> str:
+    nodes = "".join(f"node {prefix}{i} {i % 3}\n" for i in range(length))
+    return nodes + "".join(f"lt {prefix}{i} {prefix}{i + 1}\n" for i in range(length - 1))
+
+
+def test_compare_long_chains_needs_no_recursion(tmp_path):
+    a, b = tmp_path / "chain-a.pos", tmp_path / "chain-b.pos"
+    a.write_text(chain_pos(1200, "n"))
+    b.write_text(chain_pos(1200, "m"))
+    result = subprocess.run(
+        [sys.executable, "-m", "msflow", "compare", str(a), str(b)], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert lines[1] == "isomorphic: yes"
+    assert lines[2] == "mapping: " + " ".join(sorted(f"n{i}->m{i}" for i in range(1200)))
+
+
 # ---------------------------------------------------------------------------
 # JSON parity with library results
 

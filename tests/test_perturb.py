@@ -13,12 +13,14 @@ from msflow import (
     apply_choice,
     betti,
     build_complex,
+    census,
     check_d2,
     enumerate_choices_2d,
     parse,
     parse_choice,
     resolve_all,
     resolve_all_detailed,
+    serialize,
     serialize_choice,
     validate,
     verify_franks_claims,
@@ -196,6 +198,33 @@ def test_attracting_orbit_enumeration_mirrors():
         assert validate(result.system) == []
         assert result.claims_report.case == "attractor"
         assert result.claims_report.all_passed
+
+
+def test_default_names_skip_names_already_taken():
+    s = parse(
+        "dim 2\nrest p_g 0\nrest q_g 0\nrest q_g_2 0\norbit g 1 untwisted\n"
+        "conn g p_g 1\nconn g q_g 1\nconn g q_g_2 1\n"
+    )
+    for choice in enumerate_choices_2d(s, "g"):
+        assert (choice.p_name, choice.q_name) == ("p_g_2", "q_g_3")
+        assert validate(apply_choice(s, choice).system) == []
+    explicit = enumerate_choices_2d(s, "g", p_name="p", q_name="q")
+    assert {(c.p_name, c.q_name) for c in explicit} == {("p", "q")}
+
+
+def test_default_names_are_unchanged_without_a_clash(fig3):
+    assert {(c.p_name, c.q_name) for c in enumerate_choices_2d(fig3, "gamma")} == {("p_gamma", "q_gamma")}
+
+
+def test_census_of_fig3_with_a_sink_named_like_the_new_source(fig3):
+    text = serialize(fig3).replace("rest q0 0", "rest p_gamma 0").replace("conn gamma q0 1", "conn gamma p_gamma 1")
+    renamed = parse(text)
+    assert renamed.has_element("p_gamma") and not renamed.has_element("q0")
+    report = census(renamed)
+    assert (report.total, len(report.classes)) == (6, 4)
+    assert sorted(cls.size for cls in report.classes) == sorted(cls.size for cls in census(fig3).classes)
+    assert {d.p_name for cls in report.classes for (d,) in cls.members} == {"p_gamma_2"}
+    assert len(resolve_all(renamed)) == 6
 
 
 def test_enumeration_rejects_unsupported_inputs(fig6, fig5):

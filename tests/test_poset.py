@@ -4,8 +4,12 @@ census of orbit resolutions."""
 
 import random
 import string
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from msflow import (
     LabeledPoset,
@@ -18,9 +22,11 @@ from msflow import (
     is_isomorphic,
     parse,
     parse_poset,
+    resolve_all_detailed,
+    serialize,
 )
 from msflow import ParseError
-from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT
+from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT, _search_isomorphism, _signatures
 
 from conftest import fixture_path, load_fixture
 
@@ -72,6 +78,45 @@ def test_transitivity_through_chains():
     p = parse_poset("node x 0\nnode y 1\nnode z 2\nlt x y\nlt y z\n")
     assert p.leq("x", "z")
     assert p.covers() == [("x", "y"), ("y", "z")]
+
+
+@st.composite
+def labeled_posets(draw, max_nodes: int = 10) -> LabeledPoset:
+    """Nodes n0..n(k-1) with labels 0-3; relations only run from a lower
+    to a higher index, so every draw is acyclic."""
+    count = draw(st.integers(0, max_nodes))
+    names = [f"n{i}" for i in range(count)]
+    labels = {name: draw(st.integers(0, 3)) for name in names}
+    pairs = [(names[i], names[j]) for i in range(count) for j in range(i + 1, count)]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return LabeledPoset(labels, [pair for pair, keep in zip(pairs, kept) if keep])
+
+
+def reference_covers(p: LabeledPoset) -> list[tuple[str, str]]:
+    """The definition: a < b with no c strictly between."""
+    return sorted(
+        (a, b)
+        for b in p.nodes
+        for a in p.downset(b)
+        if a != b and not any(c not in (a, b) and p.leq(a, c) for c in p.downset(b))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_posets(max_nodes=12))
+def test_covers_match_the_definition(p):
+    assert p.covers() == reference_covers(p)
+
+
+def chain(length: int, prefix: str) -> LabeledPoset:
+    return LabeledPoset(
+        {f"{prefix}{i}": i % 3 for i in range(length)},
+        [(f"{prefix}{i}", f"{prefix}{i + 1}") for i in range(length - 1)],
+    )
+
+
+def test_covers_of_a_long_chain_are_its_links():
+    assert chain(1200, "n").covers() == sorted((f"n{i}", f"n{i + 1}") for i in range(1199))
 
 
 def test_downset_upset_and_len(two_cells):
@@ -175,6 +220,37 @@ def test_profile_of_empty_poset():
     p = LabeledPoset({})
     profile = invariant_profile(p)
     assert profile.label_counts == () and profile.signatures == ()
+
+
+def reference_signature(p: LabeledPoset, name: str):
+    down = Counter(p.label(x) for x in p.downset(name))
+    up = Counter(p.label(x) for x in p.upset(name))
+    return (p.label(name), tuple(sorted(down.items())), tuple(sorted(up.items())))
+
+
+def reference_profile(p: LabeledPoset):
+    """The profile computed straight from down-sets and up-sets, one
+    invariant at a time."""
+    labels = sorted({p.label(x) for x in p.nodes})
+    by_label = {l: [x for x in p.nodes if p.label(x) == l] for l in labels}
+    label_counts = tuple((l, len(by_label[l])) for l in labels)
+    downset_sizes = tuple((l, tuple(sorted(len(p.downset(x)) for x in by_label[l]))) for l in labels)
+    incidence = tuple(
+        (low, high, tuple(sorted(sum(1 for y in p.upset(x) if p.label(y) == high) for x in by_label[low])))
+        for low in labels
+        for high in labels
+        if low < high
+    )
+    signatures = tuple(sorted(reference_signature(p, x) for x in p.nodes))
+    return label_counts, downset_sizes, incidence, signatures
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_posets())
+def test_profile_matches_the_definition(p):
+    profile = invariant_profile(p)
+    assert (profile.label_counts, profile.downset_sizes, profile.incidence, profile.signatures) == reference_profile(p)
+    assert _signatures(p) == {x: reference_signature(p, x) for x in p.nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +360,87 @@ def test_random_posets_match_their_shuffles():
         assert check_mapping(p, shuffled, verdict.mapping_dict())
 
 
+def reference_search(a: LabeledPoset, b: LabeledPoset):
+    """Recursive backtracking: most-constrained node first, same-named
+    candidate first, the rest by name."""
+    sig_a = {x: reference_signature(a, x) for x in a.nodes}
+    sig_b = {y: reference_signature(b, y) for y in b.nodes}
+    candidates = {x: [y for y in b.nodes if sig_b[y] == sig_a[x]] for x in a.nodes}
+    if any(not c for c in candidates.values()):
+        return None
+    order = sorted(a.nodes, key=lambda x: (len(candidates[x]), x))
+    assignment = {}
+
+    def extend(i):
+        if i == len(order):
+            return True
+        x = order[i]
+        for y in sorted(candidates[x], key=lambda y: (y != x, y)):
+            if y in assignment.values():
+                continue
+            if any(a.leq(x, x0) != b.leq(y, y0) or a.leq(x0, x) != b.leq(y0, y) for x0, y0 in assignment.items()):
+                continue
+            assignment[x] = y
+            if extend(i + 1):
+                return True
+            del assignment[x]
+        return False
+
+    return assignment if extend(0) else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_posets(max_nodes=9), st.randoms(use_true_random=False), st.booleans())
+def test_search_returns_the_recursive_searchs_witness(p, rng, rename):
+    # A shuffled renamed copy is isomorphic; a copy with one comparable pair
+    # dropped or one added mostly is not.  Either way both searches agree.
+    names = rng.sample(string.ascii_lowercase, len(p)) if rename else list(p.nodes)
+    other = p.renamed(dict(zip(p.nodes, names)), rng.sample(list(p.nodes), len(p)))
+    if not rename and len(p) >= 2:
+        x, y = rng.sample(list(p.nodes), 2)
+        relations = [(u, v) for v in p.nodes for u in p.downset(v) if u != v]
+        if p.leq(x, y) or p.leq(y, x):
+            relations = [r for r in relations if r not in ((x, y), (y, x))]
+        elif int(x[1:]) < int(y[1:]):
+            relations.append((x, y))
+        other = LabeledPoset(p.labels(), relations)
+    expected = reference_search(p, other)
+    assert _search_isomorphism(p, other, _signatures(p), _signatures(other)) == expected
+    verdict = is_isomorphic(p, other)
+    assert verdict.mapping == (tuple(sorted(expected.items())) if expected is not None else None)
+
+
+def cycles(lengths, prefix: str) -> LabeledPoset:
+    """Disjoint cycles as vertices (label 0) under edges (label 1): every
+    node has the same signature as every other of its label, so only the
+    search tells different cycle lengths apart."""
+    labels, relations = {}, []
+    for c, length in enumerate(lengths):
+        for i in range(length):
+            labels[f"{prefix}v{c}_{i}"], labels[f"{prefix}e{c}_{i}"] = 0, 1
+            relations += [(f"{prefix}v{c}_{i}", f"{prefix}e{c}_{i}"), (f"{prefix}v{c}_{(i + 1) % length}", f"{prefix}e{c}_{i}")]
+    return LabeledPoset(labels, relations)
+
+
+@pytest.mark.parametrize(
+    "lengths, other",
+    [([6], [3, 3]), ([3, 3], [6]), ([7], [3, 4]), ([4, 3], [7]), ([3, 4], [4, 3]), ([5], [5]), ([3, 3], [3, 3])],
+)
+def test_search_on_cycles_returns_the_recursive_searchs_witness(lengths, other):
+    # Equal signatures throughout; isomorphic exactly when the cycle lengths
+    # agree, which only the search can tell.
+    a, b = cycles(lengths, "a"), cycles(other, "b")
+    expected = reference_search(a, b)
+    assert (expected is not None) == (sorted(lengths) == sorted(other))
+    assert _search_isomorphism(a, b, _signatures(a), _signatures(b)) == expected
+
+
+def test_long_chain_matches_its_renamed_copy():
+    verdict = is_isomorphic(chain(1200, "n"), chain(1200, "m"))
+    assert verdict.isomorphic
+    assert verdict.mapping_dict() == {f"n{i}": f"m{i}" for i in range(1200)}
+
+
 # ---------------------------------------------------------------------------
 # cell-equivalence verdicts
 
@@ -366,3 +523,83 @@ def test_census_of_gradient_input_is_one_class():
     report = census(load_fixture("fig4-X2.msf"))
     assert report.total == 1 and len(report.classes) == 1
     assert report.classes[0].members == ((),)
+
+
+def reference_census(s):
+    """Each resolution against every class so far, first match wins."""
+    classes = []
+    for system, choices in resolve_all_detailed(s):
+        poset = face_poset(system)
+        for cls in classes:
+            if is_isomorphic(cls[1], poset).isomorphic:
+                cls[2].append(choices)
+                break
+        else:
+            classes.append((system, poset, [choices]))
+    return [(serialize(system), tuple(members)) for system, _, members in classes]
+
+
+@st.composite
+def systems_with_orbits(draw):
+    """Valid 2D systems with 1-3 closed orbits, each with at least one
+    admissible choice.  Elements are declared in order of falling unstable
+    dimension (sources and repelling orbits, saddles and attracting orbits,
+    sinks) and connections run only down that order where the dimension
+    rule allows them."""
+    orbits = draw(st.lists(st.sampled_from(["orbit 1", "orbit 0"]), min_size=1, max_size=3))
+    kinds = (
+        ["rest 2"] * draw(st.integers(1 if "orbit 0" in orbits else 0, 2))
+        + ["rest 1"] * draw(st.integers(0, 2))
+        + ["rest 0"] * draw(st.integers(1, 3))
+        + orbits
+    )
+    unstable = {"rest 2": 2, "orbit 1": 2, "rest 1": 1, "orbit 0": 1, "rest 0": 0}
+    kinds.sort(key=lambda k: -unstable[k])
+    names = [f"e{i}" for i in range(len(kinds))]
+    of_kind = lambda *ks: [n for n, k in zip(names, kinds) if k in ks]  # noqa: E731
+    targets = {n: set() for n in names}
+    for a in of_kind("rest 2", "orbit 1", "rest 1"):
+        allowed = of_kind("orbit 0", "rest 0") + (of_kind("rest 1") if unstable[kinds[names.index(a)]] == 2 else [])
+        targets[a] = {b for b in allowed if draw(st.booleans())}
+    # Every orbit needs something to reconnect to: a repelling orbit one or
+    # two index-0 elements downstream, an attracting one a source or
+    # repelling orbit upstream.
+    for a in of_kind("orbit 1"):
+        targets[a].update(draw(st.lists(st.sampled_from(of_kind("orbit 0", "rest 0")), min_size=1, max_size=2)))
+    for b in of_kind("orbit 0"):
+        targets[draw(st.sampled_from(of_kind("rest 2", "orbit 1")))].add(b)
+    lines = ["dim 2"]
+    lines += [f"{k.split()[0]} {n} {k.split()[1]}" + (" untwisted" if k.startswith("orbit") else "") for n, k in zip(names, kinds)]
+    lines += [f"conn {a} {b} {draw(st.integers(1, 2))}" for a in names for b in sorted(targets[a])]
+    return parse("\n".join(lines) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_with_orbits(), st.randoms(use_true_random=False))
+def test_census_matches_pairwise_grouping(s, rng):
+    assume(len(resolve_all_detailed(s)) <= 60)
+    reordered = replace(s, elements=tuple(rng.sample(list(s.elements), len(s.elements))))
+    for system in (s, reordered):
+        report = census(system)
+        got = [(serialize(cls.representative), cls.members) for cls in report.classes]
+        assert got == reference_census(system)
+        assert report.total == sum(len(members) for _, members in got)
+
+
+def orbits_over_sinks(k: int, m: int, d: int):
+    """k repelling orbits over m sinks, orbit i joined to sinks i..i+d-1
+    (mod m)."""
+    lines = ["dim 2"] + [f"rest q{j} 0" for j in range(m)] + [f"orbit g{i} 1 untwisted" for i in range(k)]
+    lines += [f"conn g{i} q{(i + j) % m} 1" for i in range(k) for j in range(d)]
+    return parse("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("k, m, d", [(3, 4, 2), (2, 5, 3)])
+def test_census_matches_pairwise_grouping_where_keys_hold_several_classes(k, m, d):
+    # Here some non-isomorphic classes share a signature key, so the search
+    # inside a key is what separates them.
+    s = orbits_over_sinks(k, m, d)
+    report = census(s)
+    keys = [tuple(sorted(_signatures(cls.poset).values())) for cls in report.classes]
+    assert len(set(keys)) < len(keys)
+    assert [(serialize(cls.representative), cls.members) for cls in report.classes] == reference_census(s)
