@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping
+from functools import reduce
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence
+
+from .gf2 import bits
 
 NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 DIGITS_RE = re.compile(r"[0-9]+")
@@ -467,6 +471,62 @@ def direct_upstream(s: FlowSystem, name: str) -> dict[str, int]:
     return s.connections.incoming(name)
 
 
+def closure_masks(children: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Reflexive-transitive closure of the digraph on nodes 0..n-1 given by
+    ``children``, both ways, as int masks: bit j of ``down[i]`` is set when j
+    is reachable from i, and bit j of ``up[i]`` when i is reachable from j.
+
+    One iterative depth-first pass ORs each node's children's masks into its
+    ``down``; the nodes of a cycle (a strongly connected component, found as
+    in Tarjan's algorithm) all get the union of theirs.  Components close
+    after every component they reach, so a pass over them in reverse order
+    hands each finished ``up`` on to the children."""
+    n = len(children)
+    down = [1 << i for i in range(n)]
+    low = [0] * n  # 0 unseen; while open, the lowest open position (from 1) it reaches; n + 1 once closed
+    open_nodes: list[int] = []
+    closed: list[list[int]] = []
+    for root in range(n):
+        if low[root]:
+            continue
+        open_nodes.append(root)
+        low[root] = 1
+        stack = [(root, iter(children[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if not low[w]:
+                    open_nodes.append(w)
+                    low[w] = len(open_nodes)
+                    stack.append((w, iter(children[w])))
+                    break
+                down[v] |= down[w]
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                stack.pop()
+                if open_nodes[low[v] - 1] == v:  # v is the first open node of its component
+                    members = open_nodes[low[v] - 1 :]
+                    del open_nodes[low[v] - 1 :]
+                    union = reduce(or_, [down[w] for w in members])
+                    for w in members:
+                        down[w], low[w] = union, n + 1
+                    closed.append(members)
+                if stack:
+                    u = stack[-1][0]
+                    down[u] |= down[v]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    up = [1 << i for i in range(n)]
+    for members in reversed(closed):
+        union = reduce(or_, [up[w] for w in members])
+        for w in members:
+            up[w] = union
+            for child in children[w]:
+                up[child] |= union
+    return down, up
+
+
 def reachability(s: FlowSystem) -> dict[str, frozenset[str]]:
     """Reflexive-transitive closure of the direct-connection relation.
 
@@ -474,24 +534,17 @@ def reachability(s: FlowSystem) -> dict[str, frozenset[str]]:
     connections, including a itself.  For valid (acyclic) systems this is a
     partial order: b in reachability(s)[a] reads "b lies below a".
     """
-    adjacency = {e.name: list(s.connections.outgoing(e.name)) for e in s.elements}
-    closure: dict[str, frozenset[str]] = {}
-
-    def reach(name: str) -> frozenset[str]:
-        if name in closure:
-            return closure[name]
-        seen = {name}
-        frontier = [name]
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        closure[name] = frozenset(seen)
-        return closure[name]
-
-    return {name: reach(name) for name in adjacency}
+    names = list(dict.fromkeys(e.name for e in s.elements))
+    declared = len(names)
+    # A connection's undeclared target is reached, but never left.
+    names += sorted({dst for _, dst in s.connections.pairs()} - set(names))
+    index = {name: i for i, name in enumerate(names)}
+    children: list[list[int]] = [[] for _ in names]
+    for src, dst in s.connections.pairs():
+        if index.get(src, declared) < declared:
+            children[index[src]].append(index[dst])
+    down, _ = closure_masks(children)
+    return {name: frozenset(names[j] for j in bits(down[i])) for i, name in enumerate(names[:declared])}
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ class MatrixGF2:
 
     def nonzero_entries(self) -> list[tuple[int, int]]:
         """(row, col) positions of the 1-entries, in row-major order."""
-        return [(i, j) for i, r in enumerate(self._rows) for j in _bits(r)]
+        return [(i, j) for i, r in enumerate(self._rows) for j in bits(r)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixGF2):
@@ -100,7 +100,7 @@ class MatrixGF2:
         return f"MatrixGF2({self.tolist()!r})"
 
 
-def _bits(r: int) -> list[int]:
+def bits(r: int) -> list[int]:
     """Positions of the set bits of r, ascending."""
     found = []
     while r:
@@ -115,7 +115,7 @@ def multiply(a: MatrixGF2, b: MatrixGF2) -> MatrixGF2:
     by the bits of row i of a."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    product = [reduce(xor, [b._rows[k] for k in _bits(r)], 0) for r in a._rows]
+    product = [reduce(xor, [b._rows[k] for k in bits(r)], 0) for r in a._rows]
     return MatrixGF2._from_rows(product, b.cols)
 
 

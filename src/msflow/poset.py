@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .ejcomplex import InvalidSystemError
-from .flowdata import NAME_RE, FlowSystem, ParseError, read_int, validate
+from .flowdata import NAME_RE, FlowSystem, ParseError, closure_masks, read_int, validate
+from .gf2 import bits
 from .perturb import ChoiceDescriptor, resolve_all_detailed
 
 
@@ -24,9 +25,11 @@ class LabeledPoset:
 
     Construct from node labels and a list of (a, b) relations meaning a <= b;
     the reflexive-transitive closure is computed and antisymmetry enforced.
+    Node i's label is ``_labels[i]`` and its down-set and up-set are the int
+    masks ``_down[i]`` and ``_up[i]`` over node indices (bit j is node j).
     """
 
-    __slots__ = ("_nodes", "_label", "_down")
+    __slots__ = ("_nodes", "_labels", "_index", "_down", "_up")
 
     def __init__(
         self,
@@ -35,33 +38,22 @@ class LabeledPoset:
     ):
         label_map = dict(labels)
         self._nodes = tuple(label_map)
-        self._label = label_map
+        self._labels = tuple(label_map.values())
+        self._index = None
+        index = {name: i for i, name in enumerate(self._nodes)}
 
-        children: dict[str, set[str]] = {name: set() for name in self._nodes}
+        children: list[list[int]] = [[] for _ in self._nodes]
         for a, b in relations:
-            for x in (a, b):
-                if x not in label_map:
-                    raise ValueError(f"relation references unknown node {x!r}")
+            if a not in index or b not in index:
+                raise ValueError(f"relation references unknown node {a if a not in index else b!r}")
             if a != b:
-                children[b].add(a)
+                children[index[b]].append(index[a])
+        self._down, self._up = closure_masks(children)
 
-        down: dict[str, frozenset[str]] = {}
-        for name in self._nodes:
-            seen = {name}
-            frontier = [name]
-            while frontier:
-                node = frontier.pop()
-                for lower in children[node]:
-                    if lower not in seen:
-                        seen.add(lower)
-                        frontier.append(lower)
-            down[name] = frozenset(seen)
-        self._down = down
-
-        for a in self._nodes:
-            for b in down[a]:
-                if b != a and a in down[b]:
-                    raise ValueError(f"not antisymmetric: {a} <= {b} and {b} <= {a}")
+        for i, a in enumerate(self._nodes):
+            if cycle := self._down[i] & self._up[i] & ~(1 << i):
+                b = self._nodes[bits(cycle)[0]]
+                raise ValueError(f"not antisymmetric: {a} <= {b} and {b} <= {a}")
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -71,47 +63,52 @@ class LabeledPoset:
         return len(self._nodes)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._label
+        return name in self._nodes
+
+    def _at(self, name: str) -> int:
+        """The index of node ``name``.  The name -> index dict is built on
+        first use, since isomorphism and census read nodes by index only."""
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self._nodes)}
+        if name not in self._index:
+            raise ValueError(f"unknown node {name!r}")
+        return self._index[name]
 
     def label(self, name: str) -> int:
-        if name not in self._label:
-            raise ValueError(f"unknown node {name!r}")
-        return self._label[name]
+        return self._labels[self._at(name)]
 
     def labels(self) -> dict[str, int]:
-        return dict(self._label)
+        return dict(zip(self._nodes, self._labels))
 
     def leq(self, a: str, b: str) -> bool:
         """True when a <= b."""
-        if a not in self._label or b not in self._label:
-            raise ValueError(f"unknown node in leq({a!r}, {b!r})")
-        return a in self._down[b]
+        try:
+            return bool(self._down[self._at(b)] >> self._at(a) & 1)
+        except ValueError:
+            raise ValueError(f"unknown node in leq({a!r}, {b!r})") from None
 
     def downset(self, name: str) -> frozenset[str]:
-        if name not in self._label:
-            raise ValueError(f"unknown node {name!r}")
-        return self._down[name]
+        return frozenset(self._nodes[i] for i in bits(self._down[self._at(name)]))
 
     def upset(self, name: str) -> frozenset[str]:
-        if name not in self._label:
-            raise ValueError(f"unknown node {name!r}")
-        return frozenset(b for b in self._nodes if name in self._down[b])
+        return frozenset(self._nodes[i] for i in bits(self._up[self._at(name)]))
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse diagram: pairs (a, b) with a < b and nothing strictly between.
 
-        Walking b's strict down-set from the largest down-set to the smallest
-        meets every c above a before a itself, so a is a cover exactly when
-        no cover kept so far has it below."""
+        The covers of b are the maximal nodes of its strict down-set: climb
+        from any node left to one with nothing above it there, take it, and
+        drop everything below it."""
         out = []
-        down = self._down
-        for b in self._nodes:
-            below = sorted((a for a in down[b] if a != b), key=lambda a: len(down[a]), reverse=True)
-            covered: set[str] = set()
-            for a in below:
-                if a not in covered:
-                    out.append((a, b))
-                    covered |= down[a]
+        down, up = self._down, self._up
+        for b, name in enumerate(self._nodes):
+            strict = todo = down[b] ^ 1 << b
+            while todo:
+                a = todo.bit_length() - 1
+                while higher := up[a] & strict ^ 1 << a:
+                    a = (higher & -higher).bit_length() - 1
+                out.append((self._nodes[a], name))
+                todo &= ~down[a]
         return sorted(out)
 
     def renamed(self, mapping: Mapping[str, str], order: Sequence[str] | None = None) -> "LabeledPoset":
@@ -119,20 +116,24 @@ class LabeledPoset:
         handy for building known-isomorphic copies."""
         if sorted(mapping) != sorted(self._nodes) or len(set(mapping.values())) != len(self._nodes):
             raise ValueError("mapping must be a bijection on the node set")
-        new_labels = {mapping[name]: self._label[name] for name in (order or self._nodes)}
-        relations = [(mapping[a], mapping[b]) for b in self._nodes for a in self._down[b] if a != b]
-        return LabeledPoset(new_labels, relations)
+        new_labels = {mapping[name]: self.label(name) for name in (order or self._nodes)}
+        return LabeledPoset(new_labels, [(mapping[a], mapping[b]) for a, b in self.covers()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledPoset):
             return NotImplemented
-        return self._label == other._label and self._down == other._down
+        return self.labels() == other.labels() and _preserves_order(self, other, [other._at(x) for x in self._nodes])
 
     def __hash__(self):
-        return hash((tuple(sorted(self._label.items())), tuple(sorted((k, v) for k, v in self._down.items()))))
+        return hash(tuple(sorted((x, l, down.bit_count()) for x, l, down in zip(self._nodes, self._labels, self._down))))
 
     def __repr__(self) -> str:
         return f"LabeledPoset({len(self._nodes)} nodes)"
+
+
+def _preserves_order(a: LabeledPoset, b: LabeledPoset, perm: Sequence[int]) -> bool:
+    """Does sending a's node i to b's node ``perm[i]`` carry a's down-sets onto b's?"""
+    return all(sum(1 << perm[j] for j in bits(down)) == b._down[perm[i]] for i, down in enumerate(a._down))
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +218,12 @@ class Profile:
 def _signatures(p: LabeledPoset) -> dict[str, tuple]:
     """Node -> (label, label counts of its down-set, label counts of its
     up-set); both sets include the node itself."""
-    label, down = p._label, p._down
-    up_labels: dict[str, list[int]] = {x: [] for x in p.nodes}
-    for y in p.nodes:
-        for x in down[y]:
-            up_labels[x].append(label[y])
-    return {
-        x: (
-            label[x],
-            tuple(sorted(Counter(label[z] for z in down[x]).items())),
-            tuple(sorted(Counter(up_labels[x]).items())),
-        )
-        for x in p.nodes
-    }
+    label_mask: dict[int, int] = {}
+    for i, l in enumerate(p._labels):
+        label_mask[l] = label_mask.get(l, 0) | 1 << i
+    by_label = sorted(label_mask.items())
+    counts = lambda mask: tuple((l, c) for l, nodes in by_label if (c := (mask & nodes).bit_count()))  # noqa: E731
+    return {x: (l, counts(down), counts(up)) for x, l, down, up in zip(p.nodes, p._labels, p._down, p._up)}
 
 
 def _profile(signatures: Mapping[str, tuple]) -> Profile:
@@ -277,14 +271,7 @@ def check_mapping(a: LabeledPoset, b: LabeledPoset, mapping: Mapping[str, str]) 
     m = dict(mapping)
     if sorted(m) != sorted(a.nodes) or sorted(m.values()) != sorted(b.nodes):
         return False
-    for x in a.nodes:
-        if a.label(x) != b.label(m[x]):
-            return False
-    for x in a.nodes:
-        for y in a.nodes:
-            if a.leq(x, y) != b.leq(m[x], m[y]):
-                return False
-    return True
+    return all(a.label(x) == b.label(m[x]) for x in a.nodes) and _preserves_order(a, b, [b._at(m[x]) for x in a.nodes])
 
 
 def _profile_certificate(pa: Profile, pb: Profile) -> str | None:
@@ -313,49 +300,63 @@ def _search_isomorphism(
     """Backtracking search for a label-preserving order isomorphism that maps
     each node onto one of equal signature; ``sig_a``/``sig_b`` are the
     nodes' signatures (see _signatures).  The stack is explicit, so long
-    chains need no recursion."""
-    by_sig: dict[tuple, list[str]] = {}
-    for y in b.nodes:
-        by_sig.setdefault(sig_b[y], []).append(y)
-    candidates = {x: by_sig.get(sig_a[x], []) for x in a.nodes}
-    if any(not c for c in candidates.values()):
+    chains need no recursion.
+
+    Forward checking (Haralick & Elliott, 1980): each depth keeps a domain,
+    the mask of b's nodes still open to it.  Assigning x -> y narrows every
+    deeper domain to the nodes that stand to y as that node stands to x, y
+    is skipped if a domain empties, and as only subtrees without a solution
+    are cut, the witness is the one plain backtracking in this order finds."""
+    names = b.nodes
+    by_sig: dict[tuple, list[int]] = {}
+    for j in sorted(range(len(b)), key=names.__getitem__):
+        by_sig.setdefault(sig_b[names[j]], []).append(j)
+    groups = [by_sig.get(sig_a[x], ()) for x in a.nodes]
+    if not all(groups):
         return None
 
-    # Most-constrained node first; among candidates try the same name first so
-    # self-comparisons return the identity.
-    order = sorted(a.nodes, key=lambda x: (len(candidates[x]), x))
-    options = [sorted(candidates[x], key=lambda y, x=x: (y != x, y)) for x in order]
-    down_a, down_b = a._down, b._down
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
+    # Most-constrained node first; among candidates (in name order) try the
+    # same name first so self-comparisons return the identity.
+    order = sorted(range(len(a)), key=lambda i: (len(groups[i]), a.nodes[i]))
+    options = [sorted(groups[i], key=lambda j, x=a.nodes[i]: names[j] != x) for i in order]
+    domain = [sum(1 << j for j in groups[i]) for i in order]
+    trail: list[tuple[int, int, int]] = []  # (depth that narrowed, deeper depth, its old domain)
 
-    def consistent(x: str, y: str) -> bool:
-        below_x, below_y = down_a[x], down_b[y]
-        for x0, y0 in assignment.items():
-            if (x in down_a[x0]) != (y in down_b[y0]) or (x0 in below_x) != (y0 in below_y):
-                return False
+    def undo(depth: int) -> None:
+        while trail and trail[-1][0] >= depth:
+            _, deeper, old = trail.pop()
+            domain[deeper] = old
+
+    def narrow(depth: int, y: int) -> bool:
+        below, above = b._down[y], b._up[y]
+        under, over, apart = below & ~above, above & ~below, ~(below | above)
+        x_below, x_above = a._down[order[depth]], a._up[order[depth]]
+        for deeper, k in enumerate(order[depth + 1 :], depth + 1):
+            old = domain[deeper]
+            if (new := old & (under if x_below >> k & 1 else over if x_above >> k & 1 else apart)) != old:
+                if not new:
+                    undo(depth)
+                    return False
+                trail.append((depth, deeper, old))
+                domain[deeper] = new
         return True
 
-    # next_option[i]: where the search resumes among options[i] when it
-    # comes back to depth i.
+    # next_option[d]: where the search resumes among options[d] when it
+    # comes back to depth d.
     next_option = [0] * len(order)
     depth = 0
     while 0 <= depth < len(order):
-        x, opts = order[depth], options[depth]
-        i = next_option[depth]
-        while i < len(opts) and (opts[i] in used or not consistent(x, opts[i])):
+        opts, i = options[depth], next_option[depth]
+        while i < len(opts) and not (domain[depth] >> opts[i] & 1 and narrow(depth, opts[i])):
             i += 1
         if i == len(opts):
             next_option[depth] = 0
             depth -= 1
-            if depth >= 0:
-                used.remove(assignment.pop(order[depth]))
-            continue
-        next_option[depth] = i + 1
-        assignment[x] = opts[i]
-        used.add(opts[i])
-        depth += 1
-    return assignment if depth == len(order) else None
+            undo(depth)
+        else:
+            next_option[depth] = i + 1
+            depth += 1
+    return None if depth < 0 else {a.nodes[i]: names[opts[k - 1]] for i, opts, k in zip(order, options, next_option)}
 
 
 def is_isomorphic(a: LabeledPoset, b: LabeledPoset) -> IsoVerdict:

@@ -3,6 +3,7 @@ perturbation output, and agreement between text, JSON, and library facts."""
 
 import importlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -292,6 +293,22 @@ def test_compare_long_chains_needs_no_recursion(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[1] == "isomorphic: yes"
     assert lines[2] == "mapping: " + " ".join(sorted(f"n{i}->m{i}" for i in range(1200)))
+
+
+def test_cyclic_pos_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # Set iteration order follows PYTHONHASHSEED; the error must not.
+    cyclic = tmp_path / "cycle.pos"
+    cyclic.write_text("node a 0\nnode b 0\nnode c 0\nnode d 0\nlt a b\nlt b c\nlt c d\nlt d a\n")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "msflow", "poset", str(cyclic)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("1", "2", "5")
+    ]
+    assert {(r.returncode, r.stdout, r.stderr) for r in runs} == {
+        (1, "", "msflow: error: not antisymmetric: a <= b and b <= a\n")
+    }
 
 
 # ---------------------------------------------------------------------------

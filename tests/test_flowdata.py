@@ -4,6 +4,8 @@ and the orbit-removal skeleton."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msflow import (
     ConnectionMap,
@@ -337,6 +339,34 @@ def test_every_sink_below_the_new_source():
     reach = reachability(s)
     sinks = {e.name for e in s.elements if e.is_rest and e.index == 0}
     assert sinks <= reach["p_gamma"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda e: e[0] != e[1])),
+)))
+def test_reachability_matches_a_search_from_every_element(graph):
+    # Any digraph, cycles included; node n is a target no element declares,
+    # reached but never left.
+    n, edges = graph
+    s = FlowSystem(
+        dimension=2,
+        elements=tuple(CriticalElement(f"e{i}", "rest", 0) for i in range(n)),
+        connections=ConnectionMap({(f"e{a}", f"e{b}"): 1 for a, b in edges}),
+    )
+    expected = {}
+    for start in range(n):
+        seen, frontier = {start}, [start]
+        while frontier:
+            for a, b in edges:
+                if a == frontier[-1] < n and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+                    break
+            else:
+                frontier.pop()
+        expected[f"e{start}"] = {f"e{i}" for i in seen}
+    assert reachability(s) == expected
 
 
 # ---------------------------------------------------------------------------
