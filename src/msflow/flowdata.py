@@ -7,15 +7,16 @@ components of the unstable/stable manifold intersection for that ordered
 pair.  Mod-2 reductions of the counts feed the chain-complex construction;
 the integer values matter for perturbation bookkeeping.
 
-The module also owns the ``.msf`` text format (parser + serializer) and the
-structural validator.  Parsing is deliberately permissive beyond syntax so
+The module also owns the ``.msf`` text format (parser + serializer), the
+line reader the ``.msc`` and ``.pos`` parsers share, and the structural
+validator.  Parsing is deliberately permissive beyond syntax so
 that broken systems can be loaded and then diagnosed by ``validate``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -197,7 +198,20 @@ class FlowSystem:
 
 
 # ---------------------------------------------------------------------------
-# .msf text format
+# Text formats: the line reader .msf, .msc and .pos share, and .msf itself
+
+
+def directive_lines(text: str | bytes) -> Iterator[tuple[int, str, list[str], str]]:
+    """(line number, directive, argument tokens, text after the directive)
+    for each line of a .msf, .msc or .pos text that is not blank once its
+    ``#`` comment is cut.  Tokens are separated by any run of whitespace."""
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode("utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            tokens = line.split()
+            yield lineno, tokens[0], tokens[1:], line[len(tokens[0]) :].lstrip()
 
 
 def parse(text: str | bytes) -> FlowSystem:
@@ -207,9 +221,6 @@ def parse(text: str | bytes) -> FlowSystem:
     (index ranges, dimension rule, ...) are the validator's job, so malformed
     systems can be loaded for diagnosis.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
-
     dimension: int | None = None
     label: str | None = None
     expected: tuple[int, ...] | None = None
@@ -217,13 +228,7 @@ def parse(text: str | bytes) -> FlowSystem:
     names: set[str] = set()
     counts: dict[tuple[str, str], int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        directive, _, rest = line.partition(" ")
-        args = rest.split()
-
+    for lineno, directive, args, rest in directive_lines(text):
         if directive != "dim" and dimension is None:
             raise ParseError(lineno, "the dim directive must come first")
 
@@ -238,9 +243,9 @@ def parse(text: str | bytes) -> FlowSystem:
         elif directive == "label":
             if label is not None:
                 raise ParseError(lineno, "duplicate label directive")
-            if not rest.strip():
+            if not rest:
                 raise ParseError(lineno, "label needs text")
-            label = rest.strip()
+            label = rest
         elif directive == "expect-betti":
             if expected is not None:
                 raise ParseError(lineno, "duplicate expect-betti directive")
@@ -301,7 +306,10 @@ def read_int(lineno: int, token: str, minimum: int = 0) -> int:
     that every accepted file serializes back to the same text."""
     if not DIGITS_RE.fullmatch(token):
         raise ParseError(lineno, f"expected an integer (digits 0-9), got {token!r}")
-    value = int(token)
+    try:
+        value = int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(lineno, f"integer of {len(token)} digits is too long") from None
     if value < minimum:
         raise ParseError(lineno, f"expected a positive integer, got {value}")
     return value
@@ -545,66 +553,3 @@ def reachability(s: FlowSystem) -> dict[str, frozenset[str]]:
             children[index[src]].append(index[dst])
     down, _ = closure_masks(children)
     return {name: frozenset(names[j] for j in bits(down[i])) for i, name in enumerate(names[:declared])}
-
-
-# ---------------------------------------------------------------------------
-# Orbit removal (structural half)
-
-
-@dataclass(frozen=True)
-class FlowSystemSkeleton:
-    """A system with one orbit excised and the replacement pair inserted,
-    before any of the orbit's connections have been reassigned.
-
-    ``pending_downstream`` / ``pending_upstream`` carry the removed
-    connections so a perturbation policy can redistribute them onto p and q.
-    """
-
-    system: FlowSystem
-    orbit_name: str
-    orbit_index: int
-    p_name: str
-    q_name: str
-    attaching_degree: int  # 0 for untwisted orbits, 2 for twisted
-    pending_downstream: tuple[tuple[str, int], ...]
-    pending_upstream: tuple[tuple[str, int], ...]
-
-
-def remove_orbit_stub(s: FlowSystem, orbit_name: str, p_name: str, q_name: str) -> FlowSystemSkeleton:
-    """Delete orbit γ of index k; insert rest points p (index k+1) and q
-    (index k) in its declaration slot with c(p,q) = 2; report γ's former
-    connections as pending reassignment."""
-    gamma = s.element(orbit_name)
-    if not gamma.is_orbit:
-        raise ValueError(f"{orbit_name} is not a closed orbit")
-    taken = set(s.names)
-    for fresh in (p_name, q_name):
-        if fresh in taken - {orbit_name}:
-            raise ValueError(f"name collision: {fresh!r} already names an element")
-    if p_name == q_name:
-        raise ValueError(f"p and q need distinct names, both are {p_name!r}")
-
-    elements: list[CriticalElement] = []
-    for e in s.elements:
-        if e.name == orbit_name:
-            elements.append(CriticalElement(p_name, REST, gamma.index + 1))
-            elements.append(CriticalElement(q_name, REST, gamma.index))
-        else:
-            elements.append(e)
-
-    kept = {pair: c for pair, c in s.connections.items() if orbit_name not in pair}
-    kept[(p_name, q_name)] = 2
-    removed_out = tuple(sorted(s.connections.outgoing(orbit_name).items()))
-    removed_in = tuple(sorted(s.connections.incoming(orbit_name).items()))
-
-    system = replace(s, elements=tuple(elements), connections=ConnectionMap(kept))
-    return FlowSystemSkeleton(
-        system=system,
-        orbit_name=orbit_name,
-        orbit_index=gamma.index,
-        p_name=p_name,
-        q_name=q_name,
-        attaching_degree=2 if gamma.twisted else 0,
-        pending_downstream=removed_out,
-        pending_upstream=removed_in,
-    )

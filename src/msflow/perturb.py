@@ -31,14 +31,16 @@ from .ejcomplex import (
     multiply,
 )
 from .flowdata import (
+    REST,
     ConnectionMap,
+    CriticalElement,
     FlowSystem,
     NAME_RE,
     ParseError,
     direct_downstream,
     direct_upstream,
+    directive_lines,
     read_int,
-    remove_orbit_stub,
 )
 
 
@@ -189,11 +191,22 @@ def validate_choice(s: FlowSystem, d: ChoiceDescriptor) -> None:
 
 
 def apply_choice(s: FlowSystem, d: ChoiceDescriptor, check_claims: bool = True) -> PerturbationResult:
-    """Replace the orbit named by d, leaving every other connection untouched."""
+    """Replace the orbit γ of index k named by d with rest points p (index
+    k+1) and q (index k) in γ's declaration slot, joined by c(p, q) = 2, and
+    hand γ's connections on to p and q as d says.  Every connection not
+    touching γ is left untouched."""
     validate_choice(s, d)
-    skeleton = remove_orbit_stub(s, d.orbit, d.p_name, d.q_name)
+    gamma = s.element(d.orbit)
+    elements: list[CriticalElement] = []
+    for e in s.elements:
+        if e.name == d.orbit:
+            elements.append(CriticalElement(d.p_name, REST, gamma.index + 1))
+            elements.append(CriticalElement(d.q_name, REST, gamma.index))
+        else:
+            elements.append(e)
 
-    counts = dict(skeleton.system.connections.items())
+    counts = {pair: c for pair, c in s.connections.items() if d.orbit not in pair}
+    counts[(d.p_name, d.q_name)] = 2
     for target, c in d.p_out:
         counts[(d.p_name, target)] = c
     for target, c in d.q_out:
@@ -203,12 +216,10 @@ def apply_choice(s: FlowSystem, d: ChoiceDescriptor, check_claims: bool = True) 
     for source, c in d.q_in:
         counts[(source, d.q_name)] = c
 
-    system = replace(skeleton.system, connections=ConnectionMap(counts))
     result = PerturbationResult(
-        system=system,
+        system=replace(s, elements=tuple(elements), connections=ConnectionMap(counts)),
         choice=d,
-        attaching_degree=skeleton.attaching_degree,
-        claims_report=None,
+        attaching_degree=2 if gamma.twisted else 0,
     )
     if check_claims and s.dimension == 2:
         result = replace(result, claims_report=verify_franks_claims(s, result))
@@ -283,9 +294,7 @@ def _fresh_name(s: FlowSystem, stem: str) -> str:
     return name
 
 
-def _basis_bijection(
-    before_cx, after_cx, orbit: str, p_name: str, q_name: str
-) -> dict[BasisElement, BasisElement]:
+def _basis_bijection(before_cx, orbit: str, p_name: str, q_name: str) -> dict[BasisElement, BasisElement]:
     mapping: dict[BasisElement, BasisElement] = {}
     for k in range(before_cx.top_degree + 1):
         for x in before_cx.basis(k):
@@ -319,7 +328,7 @@ def verify_franks_claims(before: FlowSystem, after: PerturbationResult) -> Claim
 
     cx_before = build_complex(before)
     cx_after = build_complex(after.system)
-    bijection = _basis_bijection(cx_before, cx_after, d.orbit, d.p_name, d.q_name)
+    bijection = _basis_bijection(cx_before, d.orbit, d.p_name, d.q_name)
     diff = compare_matrices(cx_before, cx_after, bijection)
 
     lower = BasisElement(d.orbit, MINUS, k)
@@ -434,19 +443,12 @@ def resolve_all(s: FlowSystem, descriptors: Mapping[str, ChoiceDescriptor] | Non
 
 def parse_choice(text: str | bytes) -> ChoiceDescriptor:
     """Parse a .msc choice descriptor."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
     orbit: str | None = None
     p_name: str | None = None
     q_name: str | None = None
     maps: dict[str, dict[str, int]] = {"pout": {}, "qout": {}, "pin": {}, "qin": {}}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        directive, args = tokens[0], tokens[1:]
+    for lineno, directive, args, _ in directive_lines(text):
         if directive == "orbit":
             if orbit is not None:
                 raise ParseError(lineno, "duplicate orbit directive")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .ejcomplex import InvalidSystemError
-from .flowdata import NAME_RE, FlowSystem, ParseError, closure_masks, read_int, validate
+from .flowdata import NAME_RE, FlowSystem, ParseError, closure_masks, directive_lines, read_int, validate
 from .gf2 import bits
 from .perturb import ChoiceDescriptor, resolve_all_detailed
 
@@ -161,16 +161,9 @@ def base(p: LabeledPoset, e: str) -> frozenset[str]:
 
 def parse_poset(text: str | bytes) -> LabeledPoset:
     """Parse .pos text: 'node <name> <label>' and 'lt <a> <b>' (a below b)."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
     labels: dict[str, int] = {}
     relations: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        directive, args = tokens[0], tokens[1:]
+    for lineno, directive, args, _ in directive_lines(text):
         if directive == "node":
             if len(args) != 2:
                 raise ParseError(lineno, "node needs <name> <label>")

@@ -1,7 +1,7 @@
-"""Flow-system model: parsing, serialization, validation, reachability,
-and the orbit-removal skeleton."""
+"""Flow-system model: parsing, serialization, validation and reachability."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +15,9 @@ from msflow import (
     direct_downstream,
     direct_upstream,
     parse,
+    parse_choice,
+    parse_poset,
     reachability,
-    remove_orbit_stub,
     serialize,
     validate,
 )
@@ -153,6 +154,18 @@ def test_parse_accepts_only_ascii_digit_integers(token):
         assert exc.value.line == line
 
 
+def test_integers_longer_than_int_converts_are_parse_errors():
+    long = "1" * 5000  # past sys.get_int_max_str_digits()
+    for parser, text, line in [
+        (parse, f"dim 2\nrest a {long}\n", 2),
+        (parse_choice, f"orbit g\nnew p q\npout a {long}\n", 3),
+        (parse_poset, f"node a 0\nnode b {long}\n", 2),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parser(text)
+        assert exc.value.line == line
+
+
 def test_parse_does_not_enforce_semantic_rules():
     # Index out of range and a saddle-to-saddle connection parse fine; they
     # are the validator's business.
@@ -199,6 +212,69 @@ def test_round_trip_on_random_systems():
         again = parse(serialize(s))
         assert again.same_structure(s)
         assert again.label == s.label
+
+
+def respaced(text: str, rng: random.Random) -> str:
+    """``text`` with every separator space replaced by a random run of spaces
+    and tabs; a label keeps its text exactly as written after the first."""
+    run = lambda: "".join(rng.choice(" \t") for _ in range(rng.randint(1, 3)))  # noqa: E731
+    lines = []
+    for line in text.splitlines():
+        directive, _, rest = line.partition(" ")
+        tokens = [directive, rest] if directive == "label" else [directive, *rest.split(" ")]
+        lines.append(rng.choice(["", run()]) + "".join(tok + run() for tok in tokens[:-1]) + tokens[-1])
+    return "\n".join(lines) + "\n"
+
+
+def test_any_whitespace_separates_msf_tokens():
+    rng = random.Random(5)
+    systems = [load_fixture(name) for name in all_msf_fixtures()]
+    systems += [random_valid_system(rng) for _ in range(50)]
+    systems.append(replace(systems[0], label="Fig  3:\tdouble space, then a tab"))
+    for s in systems:
+        assert parse(respaced(serialize(s), rng)) == s
+    assert parse("dim\t2\nlabel\tFig 3\nrest\ta 0\n") == FlowSystem(
+        dimension=2, elements=(CriticalElement("a", "rest", 0),), label="Fig 3"
+    )
+
+
+# Names, digits, orbit flags, and odd tokens: every directive of the three
+# formats, comment marks, and integers the formats refuse (non-ASCII digits,
+# which int() reads, and more digits than int() converts).
+FUZZ_ARGUMENTS = st.one_of(
+    st.sampled_from(["a", "b", "g", "p", "q"]),
+    st.sampled_from(["0", "1", "2", "3"]),
+    st.sampled_from(["twisted", "untwisted"]),
+    st.sampled_from(
+        "dim label expect-betti rest orbit conn new pout qout pin qin node lt 07 9a # #a".split()
+        + ["\u0662", "1\u0661", "1" * 5000]
+    ),
+)
+
+
+@st.composite
+def token_soup(draw, directives, headers=("",)):
+    lines = draw(st.lists(st.tuples(st.sampled_from(directives), st.lists(FUZZ_ARGUMENTS, max_size=3)), max_size=10))
+    separators = st.sampled_from([" ", "\t", "  ", " \t"])
+    body = "\n".join("".join(word + draw(separators) for word in (first, *args)) for first, args in lines)
+    return draw(st.sampled_from(headers)) + body
+
+
+@pytest.mark.parametrize("parser, soup", [
+    (parse, token_soup(["dim", "label", "expect-betti", "rest", "orbit", "conn", "frob", "#"], ("", "dim 2\n"))),
+    (parse_choice, token_soup(["orbit", "new", "pout", "qout", "pin", "qin", "frob", "#"])),
+    (parse_poset, token_soup(["node", "lt", "frob", "#"])),
+], ids=["msf", "msc", "pos"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parsers_refuse_only_with_parse_errors(parser, soup, data):
+    text = data.draw(soup)
+    try:
+        parser(text)
+    except ParseError:
+        pass
+    except ValueError as err:  # a .pos text may declare a cycle
+        assert parser is parse_poset and str(err).startswith("not antisymmetric"), err
 
 
 # ---------------------------------------------------------------------------
@@ -367,47 +443,3 @@ def test_reachability_matches_a_search_from_every_element(graph):
                 frontier.pop()
         expected[f"e{start}"] = {f"e{i}" for i in seen}
     assert reachability(s) == expected
-
-
-# ---------------------------------------------------------------------------
-# remove_orbit_stub
-
-
-def test_remove_orbit_stub_basic(fig3):
-    skel = remove_orbit_stub(fig3, "gamma", "p", "q")
-    sys = skel.system
-    assert not sys.has_element("gamma")
-    assert sys.element("p").index == 2 and sys.element("p").is_rest
-    assert sys.element("q").index == 1 and sys.element("q").is_rest
-    assert sys.connections.count("p", "q") == 2
-    assert skel.attaching_degree == 0
-    # everything gamma touched is reported for reassignment
-    assert dict(skel.pending_downstream) == {"q0": 1, "q1": 1, "q2": 1, "s": 2}
-    assert skel.pending_upstream == ()
-    # connections not touching gamma survive untouched
-    assert sys.connections.count("s", "q1") == 1
-
-
-def test_remove_orbit_stub_preserves_declaration_slot(fig3):
-    skel = remove_orbit_stub(fig3, "gamma", "p", "q")
-    names = skel.system.names
-    # gamma was declared last; p and q take its slot in order
-    assert names == ("q0", "q1", "q2", "s", "p", "q")
-
-
-def test_remove_orbit_stub_twisted_degree():
-    s = parse("dim 2\norbit g 0 twisted\n")
-    skel = remove_orbit_stub(s, "g", "p", "q")
-    assert skel.attaching_degree == 2
-    # index-0 orbit: new saddle p (index 1) and new sink q (index 0)
-    assert skel.system.element("p").index == 1
-    assert skel.system.element("q").index == 0
-
-
-def test_remove_orbit_stub_rejects_non_orbits_and_collisions(fig3):
-    with pytest.raises(ValueError):
-        remove_orbit_stub(fig3, "s", "p", "q")
-    with pytest.raises(ValueError):
-        remove_orbit_stub(fig3, "gamma", "q0", "q")
-    with pytest.raises(ValueError):
-        remove_orbit_stub(fig3, "gamma", "p", "p")

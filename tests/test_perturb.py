@@ -2,9 +2,12 @@
 admissible reconnections, the three structural claims relating the complexes
 before and after, and full resolution to gradient-like systems."""
 
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from msflow import (
     ChoiceDescriptor,
@@ -28,7 +31,7 @@ from msflow import (
 from msflow import ParseError
 from msflow.perturb import validate_choice
 
-from conftest import load_fixture
+from conftest import load_fixture, random_valid_system
 
 
 def fig3_choices(fig3):
@@ -41,19 +44,20 @@ def fig3_choices(fig3):
 
 def test_choice_must_name_an_orbit(fig3):
     d = ChoiceDescriptor(orbit="s", p_name="p", q_name="q")
-    with pytest.raises(ChoiceError) as exc:
-        validate_choice(fig3, d)
-    assert exc.value.constraint == "orbit"
+    for check in (validate_choice, apply_choice):
+        with pytest.raises(ChoiceError) as exc:
+            check(fig3, d)
+        assert exc.value.constraint == "orbit"
 
 
 def test_choice_rejects_name_collisions(fig3):
-    d = ChoiceDescriptor(
-        orbit="gamma", p_name="q0", q_name="q",
-        p_out={"q0": 1, "q1": 1, "q2": 1, "s": 2}, q_out={"q0": 2},
-    )
-    with pytest.raises(ChoiceError) as exc:
-        validate_choice(fig3, d)
-    assert exc.value.constraint == "name-collision"
+    p_out = {"q0": 1, "q1": 1, "q2": 1, "s": 2}
+    for p_name, q_name in (("q0", "q"), ("p", "s"), ("p", "p")):
+        d = ChoiceDescriptor(orbit="gamma", p_name=p_name, q_name=q_name, p_out=p_out, q_out={"q0": 2})
+        for check in (validate_choice, apply_choice):
+            with pytest.raises(ChoiceError) as exc:
+                check(fig3, d)
+            assert exc.value.constraint == "name-collision"
 
 
 def test_choice_support_must_be_downstream(fig3):
@@ -133,6 +137,9 @@ def test_apply_choice_records_double_connection_and_degree(fig3):
     result = apply_choice(fig3, fig3_choices(fig3)[0])
     assert result.system.connections.count("p_gamma", "q_gamma") == 2
     assert result.attaching_degree == 0  # untwisted orbit
+    # gamma was declared last; p (index 2) and q (index 1) take its slot in order
+    assert result.system.names == ("q0", "q1", "q2", "s", "p_gamma", "q_gamma")
+    assert [(e.kind, e.index) for e in result.system.elements[-2:]] == [("rest", 2), ("rest", 1)]
 
 
 def test_new_pair_coefficient_vanishes_in_the_complex(fig3):
@@ -185,19 +192,23 @@ def test_single_sink_orbit_enumerates_one_double_connection():
 
 
 def test_attracting_orbit_enumeration_mirrors():
-    s = parse(
-        "dim 2\nrest a 2\nrest b 2\norbit g 0 untwisted\n"
-        "conn a g 1\nconn b g 1\n"
-    )
-    choices = enumerate_choices_2d(s, "g")
-    assert len(choices) == 3  # multisets of size 2 over {a, b}
-    for choice in choices:
-        assert choice.q_in_counts() == {"a": 1, "b": 1}
-        assert sum(choice.p_in_counts().values()) == 2
-        result = apply_choice(s, choice)
-        assert validate(result.system) == []
-        assert result.claims_report.case == "attractor"
-        assert result.claims_report.all_passed
+    for twist, degree in (("untwisted", 0), ("twisted", 2)):
+        s = parse(
+            f"dim 2\nrest a 2\nrest b 2\norbit g 0 {twist}\n"
+            "conn a g 1\nconn b g 1\n"
+        )
+        choices = enumerate_choices_2d(s, "g")
+        assert len(choices) == 3  # multisets of size 2 over {a, b}
+        for choice in choices:
+            assert choice.q_in_counts() == {"a": 1, "b": 1}
+            assert sum(choice.p_in_counts().values()) == 2
+            result = apply_choice(s, choice)
+            assert validate(result.system) == []
+            assert result.attaching_degree == degree
+            # index-0 orbit: new saddle p (index 1) and new sink q (index 0)
+            assert (result.system.element("p_g").index, result.system.element("q_g").index) == (1, 0)
+            assert result.claims_report.case == "attractor"
+            assert result.claims_report.all_passed
 
 
 def test_default_names_skip_names_already_taken():
@@ -247,6 +258,18 @@ def test_all_enumerated_choices_pass_all_claims(fixture):
         assert [o.name for o in report.outcomes] == ["i", "ii", "iii"]
         assert report.all_passed, choice.summary()
         assert report.products_equal and report.products_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_choice_on_random_systems_validates_and_passes_the_claims(seed):
+    s = random_valid_system(random.Random(seed))
+    assume(s.dimension == 2 and s.orbits())
+    for orbit in s.orbits():
+        for choice in enumerate_choices_2d(s, orbit.name):
+            result = apply_choice(s, choice)
+            assert validate(result.system) == [], choice.summary()
+            assert result.claims_report.all_passed, choice.summary()
 
 
 def test_claims_report_carries_witnesses(fig3):
