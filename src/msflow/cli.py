@@ -254,9 +254,12 @@ def cmd_compare(args) -> int:
     pb, name_b, system_b = load_poset(args.file_b)
     verdict = poset.is_isomorphic(pa, pb)
 
+    # cell_equivalence_verdict's summary, read off this verdict: the face
+    # posets are labeled by index, so differing cell counts per dimension
+    # are differing node counts per label, and not isomorphic either way.
     summary: str | None = None
     if system_a is not None and system_b is not None:
-        summary = poset.cell_equivalence_verdict(system_a, system_b).summary
+        summary = poset.INCONCLUSIVE if verdict.isomorphic else poset.NOT_EQUIVALENT
 
     payload = {
         "command": "compare",

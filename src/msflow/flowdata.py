@@ -158,6 +158,12 @@ class FlowSystem:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        # A label is written as one 'label' line, so it must read back whole.
+        label = self.label
+        if label is not None and (label != label.strip() or "#" in label or len(label.splitlines()) != 1):
+            raise ValueError(
+                f"label {label!r} must be one line of text with no '#' and no leading or trailing whitespace"
+            )
         object.__setattr__(self, "elements", tuple(self.elements))
         if not isinstance(self.connections, ConnectionMap):
             object.__setattr__(self, "connections", ConnectionMap(self.connections))

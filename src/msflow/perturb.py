@@ -41,6 +41,7 @@ from .flowdata import (
     direct_upstream,
     directive_lines,
     read_int,
+    validate,
 )
 
 
@@ -196,6 +197,18 @@ def apply_choice(s: FlowSystem, d: ChoiceDescriptor, check_claims: bool = True) 
     hand γ's connections on to p and q as d says.  Every connection not
     touching γ is left untouched."""
     validate_choice(s, d)
+    result = PerturbationResult(
+        system=_replace_orbit(s, d),
+        choice=d,
+        attaching_degree=2 if s.element(d.orbit).twisted else 0,
+    )
+    if check_claims and s.dimension == 2:
+        result = replace(result, claims_report=verify_franks_claims(s, result))
+    return result
+
+
+def _replace_orbit(s: FlowSystem, d: ChoiceDescriptor) -> FlowSystem:
+    """The system apply_choice builds, for a d that validate_choice admits."""
     gamma = s.element(d.orbit)
     elements: list[CriticalElement] = []
     for e in s.elements:
@@ -215,15 +228,7 @@ def apply_choice(s: FlowSystem, d: ChoiceDescriptor, check_claims: bool = True) 
         counts[(source, d.p_name)] = c
     for source, c in d.q_in:
         counts[(source, d.q_name)] = c
-
-    result = PerturbationResult(
-        system=replace(s, elements=tuple(elements), connections=ConnectionMap(counts)),
-        choice=d,
-        attaching_degree=2 if gamma.twisted else 0,
-    )
-    if check_claims and s.dimension == 2:
-        result = replace(result, claims_report=verify_franks_claims(s, result))
-    return result
+    return replace(s, elements=tuple(elements), connections=ConnectionMap(counts))
 
 
 def enumerate_choices_2d(
@@ -419,12 +424,22 @@ def resolve_all_detailed(
         if missing:
             raise ValueError(f"no descriptor supplied for orbit(s) {missing}")
 
+    # An enumerated choice for a valid system is admissible, and its result
+    # is valid again: p and q get fresh names and indices in range, every new
+    # connection keeps the dimension rule (and with it the attractor and
+    # repeller rules), and a cycle through p or q would have run through the
+    # orbit.  So after one check of s, enumerated choices skip validate_choice.
+    if descriptors is None and not validate(s):
+        step = _replace_orbit
+    else:
+        step = lambda current, d: apply_choice(current, d, check_claims=False).system  # noqa: E731
+
     # One orbit at a time, extending every partial resolution by each of its
     # choices in turn: the same order as a depth-first walk.
     results: list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]] = [(s, ())]
     for orbit in orbit_names:
         results = [
-            (apply_choice(current, d, check_claims=False).system, chosen + (d,))
+            (step(current, d), chosen + (d,))
             for current, chosen in results
             for d in ([descriptors[orbit]] if descriptors is not None else enumerate_choices_2d(current, orbit))
         ]

@@ -65,14 +65,19 @@ class LabeledPoset:
     def __contains__(self, name: str) -> bool:
         return name in self._nodes
 
-    def _at(self, name: str) -> int:
-        """The index of node ``name``.  The name -> index dict is built on
-        first use, since isomorphism and census read nodes by index only."""
+    def _indices(self) -> dict[str, int]:
+        """Node name -> index, built on first use, since census and most
+        searches read nodes by index only."""
         if self._index is None:
             self._index = {x: i for i, x in enumerate(self._nodes)}
-        if name not in self._index:
+        return self._index
+
+    def _at(self, name: str) -> int:
+        """The index of node ``name``."""
+        index = self._indices()
+        if name not in index:
             raise ValueError(f"unknown node {name!r}")
-        return self._index[name]
+        return index[name]
 
     def label(self, name: str) -> int:
         return self._labels[self._at(name)]
@@ -149,6 +154,11 @@ def face_poset(s: FlowSystem) -> LabeledPoset:
     violations = validate(s)
     if violations:
         raise InvalidSystemError(violations)
+    return _build_face_poset(s)
+
+
+def _build_face_poset(s: FlowSystem) -> LabeledPoset:
+    """face_poset without its checks, for a system known to pass them."""
     labels = {e.name: e.index for e in s.elements}
     relations = [(dst, src) for (src, dst) in s.connections.pairs()]
     return LabeledPoset(labels, relations)
@@ -215,8 +225,16 @@ def _signatures(p: LabeledPoset) -> dict[str, tuple]:
     for i, l in enumerate(p._labels):
         label_mask[l] = label_mask.get(l, 0) | 1 << i
     by_label = sorted(label_mask.items())
-    counts = lambda mask: tuple((l, c) for l, nodes in by_label if (c := (mask & nodes).bit_count()))  # noqa: E731
-    return {x: (l, counts(down), counts(up)) for x, l, down, up in zip(p.nodes, p._labels, p._down, p._up)}
+    signatures = {}
+    for x, l, down, up in zip(p.nodes, p._labels, p._down, p._up):
+        below, above = [], []
+        for k, nodes in by_label:
+            if c := (down & nodes).bit_count():
+                below.append((k, c))
+            if c := (up & nodes).bit_count():
+                above.append((k, c))
+        signatures[x] = (l, tuple(below), tuple(above))
+    return signatures
 
 
 def _profile(signatures: Mapping[str, tuple]) -> Profile:
@@ -287,32 +305,58 @@ def _profile_certificate(pa: Profile, pb: Profile) -> str | None:
     return None
 
 
+def _search_plan(a: LabeledPoset, sig_a: Mapping[str, tuple]) -> tuple:
+    """The part of the search that depends on side a alone: a's nodes in
+    search order, most constrained first (fewest nodes of equal signature,
+    then by name); their signatures; how many nodes carry each signature;
+    and, per depth, how each deeper node stands to that depth's node, as
+    bytes of 0 (below it), 1 (above it) or 2 (apart)."""
+    count = dict(Counter(sig_a.values()))
+    order = sorted(range(len(a)), key=lambda i: (count[sig_a[a.nodes[i]]], a.nodes[i]))
+    stands = [
+        bytes([0 if a._down[i] >> k & 1 else 1 if a._up[i] >> k & 1 else 2 for k in order[depth + 1 :]])
+        for depth, i in enumerate(order)
+    ]
+    nodes = [a.nodes[i] for i in order]
+    return nodes, [sig_a[x] for x in nodes], count, stands
+
+
 def _search_isomorphism(
-    a: LabeledPoset, b: LabeledPoset, sig_a: Mapping[str, tuple], sig_b: Mapping[str, tuple]
+    a: LabeledPoset, b: LabeledPoset, sig_a: Mapping[str, tuple], sig_b: Mapping[str, tuple], plan: tuple = ()
 ) -> dict[str, str] | None:
     """Backtracking search for a label-preserving order isomorphism that maps
     each node onto one of equal signature; ``sig_a``/``sig_b`` are the
-    nodes' signatures (see _signatures).  The stack is explicit, so long
-    chains need no recursion.
+    nodes' signatures (see _signatures) and ``plan`` is
+    ``_search_plan(a, sig_a)``, built here unless given.  Posets whose
+    signature multisets differ have no such map.  The stack is explicit, so
+    long chains need no recursion.
 
     Forward checking (Haralick & Elliott, 1980): each depth keeps a domain,
     the mask of b's nodes still open to it.  Assigning x -> y narrows every
     deeper domain to the nodes that stand to y as that node stands to x, y
     is skipped if a domain empties, and as only subtrees without a solution
     are cut, the witness is the one plain backtracking in this order finds."""
-    names = b.nodes
-    by_sig: dict[tuple, list[int]] = {}
-    for j in sorted(range(len(b)), key=names.__getitem__):
-        by_sig.setdefault(sig_b[names[j]], []).append(j)
-    groups = [by_sig.get(sig_a[x], ()) for x in a.nodes]
-    if not all(groups):
+    nodes, sigs, count, stands = plan or _search_plan(a, sig_a)
+    if dict(Counter(sig_b.values())) != count:
         return None
+    names, index = b.nodes, b._indices()
+    groups: dict[tuple, list[int]] = {}  # signature -> b's nodes with it, in name order
+    masks: dict[tuple, int] = {}
+    for j in sorted(range(len(b)), key=names.__getitem__):
+        sig = sig_b[names[j]]
+        groups.setdefault(sig, []).append(j)
+        masks[sig] = masks.get(sig, 0) | 1 << j
 
-    # Most-constrained node first; among candidates (in name order) try the
-    # same name first so self-comparisons return the identity.
-    order = sorted(range(len(a)), key=lambda i: (len(groups[i]), a.nodes[i]))
-    options = [sorted(groups[i], key=lambda j, x=a.nodes[i]: names[j] != x) for i in order]
-    domain = [sum(1 << j for j in groups[i]) for i in order]
+    # Among candidates (in name order) try the same name first so
+    # self-comparisons return the identity.
+    options = []
+    for x, sig in zip(nodes, sigs):
+        group = groups[sig]
+        if (j := index.get(x)) is not None and masks[sig] >> j & 1:
+            at = group.index(j)
+            group = [j] + group[:at] + group[at + 1 :]
+        options.append(group)
+    domain = [masks[sig] for sig in sigs]
     trail: list[tuple[int, int, int]] = []  # (depth that narrowed, deeper depth, its old domain)
 
     def undo(depth: int) -> None:
@@ -322,11 +366,10 @@ def _search_isomorphism(
 
     def narrow(depth: int, y: int) -> bool:
         below, above = b._down[y], b._up[y]
-        under, over, apart = below & ~above, above & ~below, ~(below | above)
-        x_below, x_above = a._down[order[depth]], a._up[order[depth]]
-        for deeper, k in enumerate(order[depth + 1 :], depth + 1):
+        by_stand = (below & ~above, above & ~below, ~(below | above))
+        for deeper, stand in enumerate(stands[depth], depth + 1):
             old = domain[deeper]
-            if (new := old & (under if x_below >> k & 1 else over if x_above >> k & 1 else apart)) != old:
+            if (new := old & by_stand[stand]) != old:
                 if not new:
                     undo(depth)
                     return False
@@ -336,9 +379,9 @@ def _search_isomorphism(
 
     # next_option[d]: where the search resumes among options[d] when it
     # comes back to depth d.
-    next_option = [0] * len(order)
+    next_option = [0] * len(nodes)
     depth = 0
-    while 0 <= depth < len(order):
+    while 0 <= depth < len(nodes):
         opts, i = options[depth], next_option[depth]
         while i < len(opts) and not (domain[depth] >> opts[i] & 1 and narrow(depth, opts[i])):
             i += 1
@@ -349,7 +392,7 @@ def _search_isomorphism(
         else:
             next_option[depth] = i + 1
             depth += 1
-    return None if depth < 0 else {a.nodes[i]: names[opts[k - 1]] for i, opts, k in zip(order, options, next_option)}
+    return None if depth < 0 else {x: names[opts[k - 1]] for x, opts, k in zip(nodes, options, next_option)}
 
 
 def is_isomorphic(a: LabeledPoset, b: LabeledPoset) -> IsoVerdict:
@@ -440,22 +483,27 @@ def census(s: FlowSystem) -> CensusReport:
     gradient-like systems by face-poset isomorphism.  Classes are reported in
     order of first appearance; a gradient input yields a single class.
 
-    Each face poset's node signatures are computed once.  Isomorphic posets
-    have equal signature multisets, so a new poset is searched against only
-    the classes that share its sorted signatures, its key."""
+    The input is validated once: every resolution of a valid system is
+    valid (see resolve_all_detailed), so their face posets are built
+    unchecked.  Each face poset's node signatures are computed once.
+    Isomorphic posets have equal signature multisets, so a new poset is
+    searched against only the classes that share its sorted signatures, its
+    key, each from a search plan built on that class's first search."""
+    clean = not validate(s)
     resolutions = resolve_all_detailed(s)
     classes: list[dict] = []
     by_key: dict[tuple, list[dict]] = {}
     for system, choices in resolutions:
-        poset = face_poset(system)
+        poset = _build_face_poset(system) if clean else face_poset(system)
         signatures = _signatures(poset)
         bucket = by_key.setdefault(tuple(sorted(signatures.values())), [])
         for cls in bucket:
-            if _search_isomorphism(cls["poset"], poset, cls["signatures"], signatures) is not None:
+            cls["plan"] = cls["plan"] or _search_plan(cls["poset"], cls["signatures"])
+            if _search_isomorphism(cls["poset"], poset, cls["signatures"], signatures, cls["plan"]) is not None:
                 cls["members"].append(choices)
                 break
         else:
-            cls = {"representative": system, "poset": poset, "signatures": signatures, "members": [choices]}
+            cls = {"representative": system, "poset": poset, "signatures": signatures, "plan": (), "members": [choices]}
             bucket.append(cls)
             classes.append(cls)
     return CensusReport(

@@ -15,15 +15,17 @@ import pytest
 from msflow import (
     betti,
     build_complex,
+    cell_equivalence_verdict,
     census,
     check_d2,
     parse,
     serialize,
     validate,
 )
+from msflow import poset
 from msflow.cli import run
 
-from conftest import GOLDEN_DIR, fixture_path, load_fixture
+from conftest import GOLDEN_DIR, all_msf_fixtures, fixture_path, load_fixture
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +165,21 @@ def test_compare_self_is_identity(capsys):
     assert "isomorphic: yes" in out
     mapping_line = next(line for line in out.splitlines() if line.startswith("mapping:"))
     assert all(pair.split("->")[0] == pair.split("->")[1] for pair in mapping_line.split()[1:])
+
+
+def test_compare_decides_once_and_agrees_with_the_library_verdict(capsys, monkeypatch):
+    # The verdict line is read off the one isomorphism test the command runs.
+    names = [name for name in all_msf_fixtures() if not load_fixture(name).orbits() and not validate(load_fixture(name))]
+    assert len(names) >= 4
+    calls = []
+    original = poset.is_isomorphic
+    monkeypatch.setattr(poset, "is_isomorphic", lambda a, b: calls.append(1) or original(a, b))
+    for a in names:
+        for b in names:
+            calls.clear()
+            code, payload, _ = run_json(capsys, "compare", a, b)
+            assert code == 0 and len(calls) == 1
+            assert payload["verdict"] == cell_equivalence_verdict(load_fixture(a), load_fixture(b)).summary
 
 
 # ---------------------------------------------------------------------------

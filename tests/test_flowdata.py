@@ -238,6 +238,25 @@ def test_any_whitespace_separates_msf_tokens():
     )
 
 
+@pytest.mark.parametrize("label", ["a # b", " pad", "pad ", "x\ny", "x\ry", "x\u2028y", "", "\t"])
+def test_labels_that_would_not_read_back_are_refused(label):
+    # Each would come back changed or not parse: the rest of the line after
+    # '#' is a comment, edge whitespace is cut, and a line break ends the
+    # label line.
+    with pytest.raises(ValueError, match=r"^label .* must be one line of text"):
+        FlowSystem(dimension=2, elements=(), label=label)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=12))
+def test_every_accepted_label_survives_a_round_trip(label):
+    try:
+        s = FlowSystem(dimension=2, elements=(CriticalElement("a", "rest", 0),), label=label)
+    except ValueError:
+        return
+    assert parse(serialize(s)) == s
+
+
 # Names, digits, orbit flags, and odd tokens: every directive of the three
 # formats, comment marks, and integers the formats refuse (non-ASCII digits,
 # which int() reads, and more digits than int() converts).

@@ -13,6 +13,7 @@ from msflow import (
     ChoiceDescriptor,
     ChoiceError,
     ConnectionMap,
+    InvalidSystemError,
     apply_choice,
     betti,
     build_complex,
@@ -320,6 +321,61 @@ def test_resolve_all_detailed_pairs_choices_with_systems(fig3):
     for system, choices in detailed:
         assert len(choices) == 1 and choices[0].orbit == "gamma"
         assert system.same_structure(apply_choice(fig3, choices[0], check_claims=False).system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_resolution_of_a_random_valid_system_validates_clean(seed):
+    # Enumerated choices on a valid input skip validate_choice; the systems
+    # they give must still pass every rule, and equal the checked path's.
+    s = random_valid_system(random.Random(seed))
+    assume(s.dimension == 2 and s.orbits())
+    for system, choices in resolve_all_detailed(s):
+        assert validate(system) == [], [d.summary() for d in choices]
+        checked = s
+        for d in choices:
+            checked = apply_choice(checked, d, check_claims=False).system
+        assert system == checked
+
+
+REST_CYCLE = "dim 2\norbit g 1 untwisted\nrest s1 1\nrest s2 1\nrest q0 0\nconn g q0 1\nconn s1 s2 1\nconn s2 s1 1\nconn s1 q0 2\n"
+ORBIT_INTO_SOURCE = "dim 2\norbit g 1 untwisted\nrest r 2\nrest q0 0\nconn g r 1\nconn g q0 1\n"
+ATTRACTING_ORBIT_WITH_OUTFLOW = "dim 2\nrest r 2\norbit a 0 untwisted\nrest q0 0\nconn r a 1\nconn a q0 1\n"
+REPELLING_ORBIT_WITH_INFLOW = "dim 2\nrest r 2\norbit g 1 untwisted\nrest q0 0\nconn r g 1\nconn g q0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (ORBIT_INTO_SOURCE, ChoiceError, "dimension-rule: p_out connection p_g -> r has u+s = 2+0 < 3"),
+        (ATTRACTING_ORBIT_WITH_OUTFLOW, ValueError, "attracting orbit a has downstream connections; system is invalid"),
+        (REPELLING_ORBIT_WITH_INFLOW, ValueError, "repelling orbit g has upstream connections; system is invalid"),
+    ],
+    ids=["orbit-into-source", "attracting-orbit-with-outflow", "repelling-orbit-with-inflow"],
+)
+@pytest.mark.parametrize("resolve", [resolve_all_detailed, census])
+def test_invalid_inputs_are_refused_by_each_resolution_as_before(text, error, message, resolve):
+    with pytest.raises(error) as refused:
+        resolve(parse(text))
+    assert type(refused.value) is error and str(refused.value) == message
+
+
+def test_a_rest_point_cycle_is_resolved_unchecked_and_refused_by_census():
+    # The cycle runs through two saddles, away from the orbit, so each
+    # choice is admissible; census refuses the first resolution's face poset.
+    s = parse(REST_CYCLE)
+    ((system, _),) = resolve_all_detailed(s)
+    assert serialize(system) == (
+        "dim 2\nrest p_g 2\nrest q_g 1\nrest s1 1\nrest s2 1\nrest q0 0\nconn p_g q0 1\n"
+        "conn p_g q_g 2\nconn q_g q0 2\nconn s1 q0 2\nconn s1 s2 1\nconn s2 s1 1\n"
+    )
+    with pytest.raises(InvalidSystemError) as refused:
+        census(s)
+    assert str(refused.value) == (
+        "system fails validation: [dimension-rule] c(s1,s2)=1 requires u+s >= 3, got u(s1)=1, s(s2)=1; "
+        "[dimension-rule] c(s2,s1)=1 requires u+s >= 3, got u(s2)=1, s(s1)=1; "
+        "[acyclicity] connection digraph has a cycle: s1 -> s2 -> s1"
+    )
 
 
 def test_resolve_all_needs_descriptors_outside_dimension_two(fig6):

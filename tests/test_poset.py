@@ -25,7 +25,9 @@ from msflow import (
     resolve_all_detailed,
     serialize,
 )
-from msflow import ParseError
+from msflow import ConnectionMap, ParseError
+from msflow import perturb as perturb_module
+from msflow import poset as poset_module
 from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT, _search_isomorphism, _signatures
 
 from conftest import fixture_path, load_fixture
@@ -603,6 +605,43 @@ def test_census_matches_pairwise_grouping_where_keys_hold_several_classes(k, m, 
     keys = [tuple(sorted(_signatures(cls.poset).values())) for cls in report.classes]
     assert len(set(keys)) < len(keys)
     assert [(serialize(cls.representative), cls.members) for cls in report.classes] == reference_census(s)
+
+
+def census_shape(report):
+    return report.total, len(report.classes), sorted(cls.size for cls in report.classes)
+
+
+@settings(max_examples=40, deadline=5000)
+@given(systems_with_orbits(), st.randoms(use_true_random=False))
+def test_census_does_not_depend_on_element_order_or_names(s, rng):
+    assume(len(resolve_all_detailed(s)) <= 60)
+    fresh = dict(zip(s.names, rng.sample([f"r{i}" for i in range(len(s.names))], len(s.names))))
+    renamed = replace(
+        s,
+        elements=tuple(replace(e, name=fresh[e.name]) for e in rng.sample(list(s.elements), len(s.elements))),
+        connections=ConnectionMap({(fresh[a], fresh[b]): c for (a, b), c in s.connections.items()}),
+    )
+    assert census_shape(census(renamed)) == census_shape(census(s))
+
+
+def test_census_validates_its_input_once_however_many_resolutions(monkeypatch):
+    # The input is checked up front; its resolutions and enumerated choices
+    # are not checked again.
+    calls = Counter()
+    for module, name in ((poset_module, "validate"), (perturb_module, "validate"), (perturb_module, "validate_choice")):
+        original = getattr(module, name)
+
+        def counted(*args, original=original, name=name, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    seen = []
+    for k, m, d in [(3, 4, 2), (3, 6, 3)]:
+        calls.clear()
+        total = census(orbits_over_sinks(k, m, d)).total
+        seen.append((total, calls["validate"], calls["validate_choice"]))
+    assert seen == [(27, 2, 0), (216, 2, 0)]
 
 
 # ---------------------------------------------------------------------------
