@@ -11,7 +11,7 @@ counts, then downset-size multisets, then pairwise incidence multisets, then
 full signature multisets, with a backtracking search as the final word.
 """
 
-from msflow import base, face_poset, is_isomorphic, parse, parse_poset
+from msflow import face_poset, is_isomorphic, parse, parse_poset
 from msflow.cli import fixtures_dir
 
 
@@ -23,8 +23,8 @@ y = load_pos("fig2-Y.pos")
 yprime = load_pos("fig2-Yprime.pos")
 
 print("Y nodes:", dict(sorted(y.labels().items())))
-print("base of the 2-cell d in Y:      ", sorted(base(y, "d")))
-print("base of the 2-cell d in Y-prime:", sorted(base(yprime, "d")))
+print("base of the 2-cell d in Y:      ", sorted(y.downset("d")))
+print("base of the 2-cell d in Y-prime:", sorted(yprime.downset("d")))
 
 verdict = is_isomorphic(y, yprime)
 print("isomorphic:", verdict.isomorphic)

@@ -14,7 +14,6 @@ from .ejcomplex import (
     D2Violation,
     DiffCell,
     InvalidSystemError,
-    MatrixDiff,
     betti,
     build_complex,
     check_d2,
@@ -30,7 +29,6 @@ from .flowdata import (
     direct_downstream,
     direct_upstream,
     parse,
-    reachability,
     serialize,
     validate,
 )
@@ -44,7 +42,6 @@ from .perturb import (
     apply_choice,
     enumerate_choices_2d,
     parse_choice,
-    resolve_all,
     resolve_all_detailed,
     serialize_choice,
     verify_franks_claims,
@@ -56,7 +53,6 @@ from .poset import (
     LabeledPoset,
     Profile,
     Verdict,
-    base,
     cell_equivalence_verdict,
     census,
     check_mapping,
@@ -84,13 +80,11 @@ __all__ = [
     "validate",
     "direct_downstream",
     "direct_upstream",
-    "reachability",
     "BasisElement",
     "ChainComplexGF2",
     "D2Violation",
     "D2Error",
     "DiffCell",
-    "MatrixDiff",
     "InvalidSystemError",
     "build_complex",
     "check_d2",
@@ -105,7 +99,6 @@ __all__ = [
     "apply_choice",
     "enumerate_choices_2d",
     "verify_franks_claims",
-    "resolve_all",
     "resolve_all_detailed",
     "parse_choice",
     "serialize_choice",
@@ -116,7 +109,6 @@ __all__ = [
     "CensusClass",
     "CensusReport",
     "face_poset",
-    "base",
     "parse_poset",
     "invariant_profile",
     "is_isomorphic",

@@ -18,9 +18,8 @@ import sys
 from pathlib import Path
 
 from . import ejcomplex, flowdata, perturb, poset
-from .ejcomplex import ChainComplexGF2, D2Error, InvalidSystemError
-from .flowdata import FlowSystem, ParseError
-from .perturb import ChoiceError
+from .ejcomplex import ChainComplexGF2, D2Error
+from .flowdata import FlowSystem
 
 
 BUNDLED_FIXTURES = Path(__file__).parent / "fixtures"
@@ -413,7 +412,7 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (FileNotFoundError, ParseError, ChoiceError, InvalidSystemError, ValueError) as err:
+    except (OSError, ValueError) as err:  # parse, choice and validation errors are ValueErrors
         print(f"msflow: error: {err}", file=sys.stderr)
         return 1
 

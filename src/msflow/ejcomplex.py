@@ -62,10 +62,8 @@ class ChainComplexGF2:
         return ()
 
     def boundary(self, k: int) -> MatrixGF2:
-        if 1 <= k <= self.top_degree:
+        if 0 <= k <= self.top_degree:
             return self.boundaries[k]
-        if k == 0:
-            return self.boundaries[0]
         # Outside the graded range every boundary is an empty zero map.
         cols = len(self.basis(k))
         rows = len(self.basis(k - 1))
@@ -173,26 +171,14 @@ class DiffCell:
     right: int
 
 
-@dataclass(frozen=True)
-class MatrixDiff:
-    """Where two complexes disagree under a basis correspondence."""
-
-    cells: tuple[DiffCell, ...]
-
-    def is_empty(self) -> bool:
-        return not self.cells
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({cell.degree for cell in self.cells}))
-
-
 def compare_matrices(
     a: ChainComplexGF2,
     b: ChainComplexGF2,
     correspondence: Mapping[BasisElement, BasisElement],
-) -> MatrixDiff:
+) -> tuple[DiffCell, ...]:
     """Entry-by-entry comparison of boundary matrices under a
-    degree-preserving basis bijection from a to b."""
+    degree-preserving basis bijection from a to b: the entries where they
+    disagree, by degree and then row-major."""
     if a.top_degree != b.top_degree:
         raise ValueError(f"top degrees differ: {a.top_degree} vs {b.top_degree}")
 
@@ -215,7 +201,7 @@ def compare_matrices(
     for k in range(1, a.top_degree + 1):
         axes_a, axes_b = (a.basis(k - 1), a.basis(k)), (b.basis(k - 1), b.basis(k))
         cells += diff_cells(k, a.boundary(k), b.boundary(k), axes_a, axes_b, correspondence)
-    return MatrixDiff(cells=tuple(cells))
+    return tuple(cells)
 
 
 Axes = tuple[Sequence[BasisElement], Sequence[BasisElement]]

@@ -21,8 +21,6 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .gf2 import bits
-
 NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 DIGITS_RE = re.compile(r"[0-9]+")
 
@@ -57,8 +55,8 @@ class CriticalElement:
             raise ValueError(f"invalid element name {self.name!r}")
         if self.kind not in (REST, ORBIT):
             raise ValueError(f"invalid element kind {self.kind!r}")
-        if self.index < 0:
-            raise ValueError(f"element {self.name}: index must be non-negative")
+        if type(self.index) is not int or self.index < 0:  # a bool or float would not read back
+            raise ValueError(f"element {self.name}: index must be a non-negative integer, got {self.index!r}")
         if self.kind == REST and self.twisted is not None:
             raise ValueError(f"rest point {self.name} cannot carry a twisted flag")
         if self.kind == ORBIT and self.twisted is None:
@@ -95,16 +93,12 @@ class ConnectionMap:
         for (src, dst), c in items.items():
             if src == dst:
                 raise ValueError(f"self-connection {src} -> {dst} is not representable")
-            if not isinstance(c, int) or c < 1:
+            if type(c) is not int or c < 1:
                 raise ValueError(f"connection {src} -> {dst}: count must be a positive integer, got {c!r}")
         self._counts = dict(sorted(items.items()))
 
     def count(self, src: str, dst: str) -> int:
         return self._counts.get((src, dst), 0)
-
-    def parity(self, src: str, dst: str) -> int:
-        """The connection count mod 2 (the chain-complex coefficient)."""
-        return self.count(src, dst) & 1
 
     def items(self) -> Iterator[tuple[tuple[str, str], int]]:
         return iter(self._counts.items())
@@ -156,8 +150,8 @@ class FlowSystem:
     expected_betti: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if type(self.dimension) is not int or self.dimension < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {self.dimension!r}")
         # A label is written as one 'label' line, so it must read back whole.
         label = self.label
         if label is not None and (label != label.strip() or "#" in label or len(label.splitlines()) != 1):
@@ -168,11 +162,10 @@ class FlowSystem:
         if not isinstance(self.connections, ConnectionMap):
             object.__setattr__(self, "connections", ConnectionMap(self.connections))
         if self.expected_betti is not None:
-            object.__setattr__(self, "expected_betti", tuple(self.expected_betti))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.elements)
+            betti = tuple(self.expected_betti)
+            if len(betti) != self.dimension + 1 or any(type(b) is not int or b < 0 for b in betti):
+                raise ValueError(f"expected_betti must be {self.dimension + 1} non-negative integers, got {betti!r}")
+            object.__setattr__(self, "expected_betti", betti)
 
     def has_element(self, name: str) -> bool:
         return any(e.name == name for e in self.elements)
@@ -188,19 +181,6 @@ class FlowSystem:
 
     def orbits(self) -> tuple[CriticalElement, ...]:
         return tuple(e for e in self.elements if e.is_orbit)
-
-    def is_gradient_like(self) -> bool:
-        """True when the system has no closed orbits."""
-        return not self.orbits()
-
-    def same_structure(self, other: "FlowSystem") -> bool:
-        """Equality of dimension, element list, and connections (label and
-        expected Betti numbers are presentation metadata and are ignored)."""
-        return (
-            self.dimension == other.dimension
-            and self.elements == other.elements
-            and self.connections == other.connections
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -539,23 +519,3 @@ def closure_masks(children: Sequence[Sequence[int]]) -> tuple[list[int], list[in
             for child in children[w]:
                 up[child] |= union
     return down, up
-
-
-def reachability(s: FlowSystem) -> dict[str, frozenset[str]]:
-    """Reflexive-transitive closure of the direct-connection relation.
-
-    reachability(s)[a] is the set of all elements reachable from a along
-    connections, including a itself.  For valid (acyclic) systems this is a
-    partial order: b in reachability(s)[a] reads "b lies below a".
-    """
-    names = list(dict.fromkeys(e.name for e in s.elements))
-    declared = len(names)
-    # A connection's undeclared target is reached, but never left.
-    names += sorted({dst for _, dst in s.connections.pairs()} - set(names))
-    index = {name: i for i, name in enumerate(names)}
-    children: list[list[int]] = [[] for _ in names]
-    for src, dst in s.connections.pairs():
-        if index.get(src, declared) < declared:
-            children[index[src]].append(index[dst])
-    down, _ = closure_masks(children)
-    return {name: frozenset(names[j] for j in bits(down[i])) for i, name in enumerate(names[:declared])}

@@ -56,7 +56,7 @@ class ChoiceError(ValueError):
 def _freeze_counts(counts) -> tuple[tuple[str, int], ...]:
     items = dict(counts)
     for name, c in items.items():
-        if not isinstance(c, int) or c < 1:
+        if type(c) is not int or c < 1:
             raise ValueError(f"count for {name!r} must be a positive integer, got {c!r}")
     return tuple(sorted(items.items()))
 
@@ -353,10 +353,10 @@ def verify_franks_claims(before: FlowSystem, after: PerturbationResult) -> Claim
         line_desc = f"row of {upper.label}"
         zero_desc = f"column of {upper.label} in d_{mid}"
 
-    mid_cells = tuple(c for c in diff.cells if c.degree == mid)
-    outer_cells = tuple(c for c in diff.cells if c.degree == outer)
+    mid_cells = tuple(c for c in diff if c.degree == mid)
+    outer_cells = tuple(c for c in diff if c.degree == outer)
     off_line = tuple(c for c in outer_cells if not in_line(c))
-    other_cells = tuple(c for c in diff.cells if c.degree not in (mid, outer))
+    other_cells = tuple(c for c in diff if c.degree not in (mid, outer))
 
     outcomes = (
         ClaimOutcome(
@@ -444,12 +444,6 @@ def resolve_all_detailed(
             for d in ([descriptors[orbit]] if descriptors is not None else enumerate_choices_2d(current, orbit))
         ]
     return results
-
-
-def resolve_all(s: FlowSystem, descriptors: Mapping[str, ChoiceDescriptor] | None = None) -> list[FlowSystem]:
-    """Gradient-like systems obtained by resolving every orbit (see
-    resolve_all_detailed); a gradient input resolves to itself."""
-    return [system for system, _ in resolve_all_detailed(s, descriptors)]
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,12 @@ class LabeledPoset:
                 todo &= ~down[a]
         return sorted(out)
 
-    def renamed(self, mapping: Mapping[str, str], order: Sequence[str] | None = None) -> "LabeledPoset":
-        """The same poset with nodes renamed (and optionally re-ordered) —
-        handy for building known-isomorphic copies."""
+    def renamed(self, mapping: Mapping[str, str]) -> "LabeledPoset":
+        """The same poset with nodes renamed — handy for building
+        known-isomorphic copies."""
         if sorted(mapping) != sorted(self._nodes) or len(set(mapping.values())) != len(self._nodes):
             raise ValueError("mapping must be a bijection on the node set")
-        new_labels = {mapping[name]: self.label(name) for name in (order or self._nodes)}
+        new_labels = {mapping[name]: self.label(name) for name in self._nodes}
         return LabeledPoset(new_labels, [(mapping[a], mapping[b]) for a, b in self.covers()])
 
     def __eq__(self, other) -> bool:
@@ -162,11 +162,6 @@ def _build_face_poset(s: FlowSystem) -> LabeledPoset:
     labels = {e.name: e.index for e in s.elements}
     relations = [(dst, src) for (src, dst) in s.connections.pairs()]
     return LabeledPoset(labels, relations)
-
-
-def base(p: LabeledPoset, e: str) -> frozenset[str]:
-    """The downset of e: the smallest order-closed subset containing e."""
-    return p.downset(e)
 
 
 def parse_poset(text: str | bytes) -> LabeledPoset:

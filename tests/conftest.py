@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from msflow import CriticalElement, FlowSystem, parse
+from msflow import CriticalElement, FlowSystem, LabeledPoset, parse
 from msflow.cli import fixtures_dir
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -35,6 +35,17 @@ def fig5():
 @pytest.fixture
 def fig6():
     return load_fixture("fig6.msf")
+
+
+def structure(s: FlowSystem) -> tuple:
+    """What a system says about the flow: its label and declared Betti
+    numbers are left out."""
+    return s.dimension, s.elements, s.connections
+
+
+def shuffled(p: LabeledPoset, mapping: dict[str, str], order: list[str]) -> LabeledPoset:
+    """A copy of p with nodes renamed by ``mapping`` and declared in ``order``."""
+    return LabeledPoset({mapping[x]: p.label(x) for x in order}, [(mapping[a], mapping[b]) for a, b in p.covers()])
 
 
 def all_msf_fixtures() -> list[str]:

@@ -25,7 +25,7 @@ from msflow import (
 from msflow import poset
 from msflow.cli import run
 
-from conftest import GOLDEN_DIR, all_msf_fixtures, fixture_path, load_fixture
+from conftest import GOLDEN_DIR, all_msf_fixtures, fixture_path, load_fixture, structure
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +61,20 @@ def test_missing_file_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "validate", "no-such-system.msf")
     assert code == 1
     assert err.startswith("msflow: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{dir}"],
+    ["perturb", "fig3.msf", "--orbit", "gamma", "--choice", "{dir}"],
+    ["perturb", "fig3.msf", "--orbit", "gamma", "--all", "--out", "{file}"],
+], ids=["validate-a-directory", "choice-a-directory", "all-out-an-existing-file"])
+def test_os_errors_are_input_errors(tmp_path, argv):
+    (tmp_path / "taken").write_text("")
+    argv = [arg.format(dir=tmp_path, file=tmp_path / "taken") for arg in argv]
+    result = subprocess.run([sys.executable, "-m", "msflow", *argv], capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.startswith("msflow: error:")
+    assert "Traceback" not in result.stderr
 
 
 def test_parse_error_is_an_input_error(capsys, tmp_path):
@@ -195,7 +209,7 @@ def test_perturb_all_writes_deterministic_files(capsys, tmp_path):
     assert names == [f"fig3-gamma-{i:02d}.msf" for i in range(1, 7)]
     for path in sorted(out_dir.iterdir()):
         system = parse(path.read_text())
-        assert system.is_gradient_like()
+        assert not system.orbits()
         assert validate(system) == []
     assert out.count("claims (repeller): i=pass ii=pass iii=pass") == 6
 
@@ -219,7 +233,7 @@ def test_perturb_choice_prints_resulting_system(capsys, tmp_path):
     )
     code, out, _ = run_cli(capsys, "perturb", "fig3.msf", "--orbit", "gamma", "--choice", str(choice))
     assert code == 0
-    assert parse(out).same_structure(load_fixture("fig3-X1.msf"))
+    assert structure(parse(out)) == structure(load_fixture("fig3-X1.msf"))
 
 
 def test_perturb_choice_with_out_writes_the_file(capsys, tmp_path):
@@ -232,7 +246,7 @@ def test_perturb_choice_with_out_writes_the_file(capsys, tmp_path):
     target = tmp_path / "result.msf"
     code, out, _ = run_cli(capsys, "perturb", "fig3.msf", "--orbit", "gamma", "--choice", str(choice), "--out", str(target))
     assert code == 0
-    assert parse(target.read_text()).same_structure(load_fixture("fig3-X2.msf"))
+    assert structure(parse(target.read_text())) == structure(load_fixture("fig3-X2.msf"))
 
 
 def test_perturb_invalid_choice_names_the_constraint(capsys, tmp_path):

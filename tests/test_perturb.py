@@ -22,7 +22,6 @@ from msflow import (
     enumerate_choices_2d,
     parse,
     parse_choice,
-    resolve_all,
     resolve_all_detailed,
     serialize,
     serialize_choice,
@@ -32,7 +31,7 @@ from msflow import (
 from msflow import ParseError
 from msflow.perturb import validate_choice
 
-from conftest import load_fixture, random_valid_system
+from conftest import load_fixture, random_valid_system, structure
 
 
 def fig3_choices(fig3):
@@ -103,8 +102,8 @@ def test_apply_choice_reproduces_the_depicted_replacements(fig3):
     by_q_out = {c.q_out: c for c in choices}
     first = apply_choice(fig3, by_q_out[(("q0", 1), ("q1", 1))])
     second = apply_choice(fig3, by_q_out[(("q0", 1), ("q2", 1))])
-    assert first.system.same_structure(load_fixture("fig3-X1.msf"))
-    assert second.system.same_structure(load_fixture("fig3-X2.msf"))
+    assert structure(first.system) == structure(load_fixture("fig3-X1.msf"))
+    assert structure(second.system) == structure(load_fixture("fig3-X2.msf"))
 
 
 def test_apply_choice_reproduces_all_three_bundled_variants(fig4):
@@ -116,7 +115,7 @@ def test_apply_choice_reproduces_all_three_bundled_variants(fig4):
     by_q_out = {c.q_out: c for c in enumerate_choices_2d(fig4, "gamma")}
     for name, q_out in wanted.items():
         result = apply_choice(fig4, by_q_out[q_out])
-        assert result.system.same_structure(load_fixture(name)), name
+        assert structure(result.system) == structure(load_fixture(name)), name
 
 
 def test_apply_choice_is_local(fig4):
@@ -139,7 +138,7 @@ def test_apply_choice_records_double_connection_and_degree(fig3):
     assert result.system.connections.count("p_gamma", "q_gamma") == 2
     assert result.attaching_degree == 0  # untwisted orbit
     # gamma was declared last; p (index 2) and q (index 1) take its slot in order
-    assert result.system.names == ("q0", "q1", "q2", "s", "p_gamma", "q_gamma")
+    assert [e.name for e in result.system.elements] == ["q0", "q1", "q2", "s", "p_gamma", "q_gamma"]
     assert [(e.kind, e.index) for e in result.system.elements[-2:]] == [("rest", 2), ("rest", 1)]
 
 
@@ -157,7 +156,7 @@ def test_apply_choice_results_validate(fig3):
     for choice in fig3_choices(fig3):
         result = apply_choice(fig3, choice, check_claims=False)
         assert validate(result.system) == []
-        assert result.system.is_gradient_like()
+        assert not result.system.orbits()
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def test_census_of_fig3_with_a_sink_named_like_the_new_source(fig3):
     assert (report.total, len(report.classes)) == (6, 4)
     assert sorted(cls.size for cls in report.classes) == sorted(cls.size for cls in census(fig3).classes)
     assert {d.p_name for cls in report.classes for (d,) in cls.members} == {"p_gamma_2"}
-    assert len(resolve_all(renamed)) == 6
+    assert len(resolve_all_detailed(renamed)) == 6
 
 
 def test_enumeration_rejects_unsupported_inputs(fig6, fig5):
@@ -297,22 +296,22 @@ def test_corrupted_result_fails_the_middle_claim(fig4):
 
 
 # ---------------------------------------------------------------------------
-# resolve_all
+# resolve_all_detailed
 
 
 def test_resolve_all_fig3(fig3):
-    systems = resolve_all(fig3)
+    systems = resolve_all_detailed(fig3)
     assert len(systems) == 6
-    for out in systems:
-        assert out.is_gradient_like()
+    for out, _ in systems:
+        assert not out.orbits()
         assert validate(out) == []
         assert check_d2(build_complex(out)) == []
 
 
 def test_resolve_all_on_gradient_input_is_identity():
     s = load_fixture("fig4-X2.msf")
-    (only,) = resolve_all(s)
-    assert only.same_structure(s)
+    (only,) = resolve_all_detailed(s)
+    assert only == (s, ())
 
 
 def test_resolve_all_detailed_pairs_choices_with_systems(fig3):
@@ -320,7 +319,7 @@ def test_resolve_all_detailed_pairs_choices_with_systems(fig3):
     assert len(detailed) == 6
     for system, choices in detailed:
         assert len(choices) == 1 and choices[0].orbit == "gamma"
-        assert system.same_structure(apply_choice(fig3, choices[0], check_claims=False).system)
+        assert system == apply_choice(fig3, choices[0], check_claims=False).system
 
 
 @settings(max_examples=150, deadline=None)
@@ -380,7 +379,7 @@ def test_a_rest_point_cycle_is_resolved_unchecked_and_refused_by_census():
 
 def test_resolve_all_needs_descriptors_outside_dimension_two(fig6):
     with pytest.raises(ValueError):
-        resolve_all(fig6)
+        resolve_all_detailed(fig6)
 
 
 def test_resolve_all_with_explicit_descriptor_in_three_dimensions(fig6):
@@ -393,7 +392,7 @@ def test_resolve_all_with_explicit_descriptor_in_three_dimensions(fig6):
     (pair,) = resolve_all_detailed(fig6, {"gamma": d})
     system, choices = pair
     assert choices == (d,)
-    assert system.is_gradient_like()
+    assert not system.orbits()
     assert validate(system) == []
     assert system.connections.count("p_g", "q_g") == 2
 
@@ -416,8 +415,8 @@ def test_nested_orbit_resolution_preserves_torus_homology():
     )
     assert validate(s) == []
     assert betti(build_complex(s)) == [1, 2, 1]
-    (resolved,) = resolve_all(s)
-    assert resolved.is_gradient_like()
+    ((resolved, _),) = resolve_all_detailed(s)
+    assert not resolved.orbits()
     assert validate(resolved, strict=True) == []
     assert betti(build_complex(resolved)) == [1, 2, 1]
 
@@ -439,6 +438,23 @@ def test_choice_round_trip_with_inbound_sections():
     text = serialize_choice(d)
     assert "orbit g" in text and "new p q" in text
     assert parse_choice(text) == d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.dictionaries(
+        st.sampled_from("abc"),
+        st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([1.0, 1.5, "1", None])),
+        max_size=3,
+    ),
+    min_size=4, max_size=4,
+))
+def test_every_descriptor_that_constructs_survives_a_round_trip(maps):
+    try:
+        d = ChoiceDescriptor("g", "p", "q", *maps)
+    except ValueError:
+        return
+    assert parse_choice(serialize_choice(d)) == d
 
 
 def test_parse_choice_rejects_malformed_text():

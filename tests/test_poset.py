@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from msflow import (
     LabeledPoset,
-    base,
     cell_equivalence_verdict,
     census,
     check_mapping,
@@ -30,7 +29,7 @@ from msflow import perturb as perturb_module
 from msflow import poset as poset_module
 from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT, _search_isomorphism, _signatures
 
-from conftest import fixture_path, load_fixture
+from conftest import fixture_path, load_fixture, shuffled
 
 
 def load_pos(name):
@@ -174,18 +173,18 @@ def test_face_poset_labels_strictly_decrease_downward():
 
 def test_base_of_the_two_cell_differs_between_the_pair(two_cells):
     y, yprime = two_cells
-    assert base(y, "d") == {"d", "a"}
-    assert base(yprime, "d") == {"a", "b", "c", "d"}
+    assert y.downset("d") == {"d", "a"}
+    assert yprime.downset("d") == {"a", "b", "c", "d"}
 
 
 def test_base_of_minimal_node_is_itself(two_cells):
     y, _ = two_cells
-    assert base(y, "a") == {"a"}
+    assert y.downset("a") == {"a"}
 
 
 def test_base_is_the_smallest_order_closed_set_containing_the_node(two_cells):
     _, yprime = two_cells
-    b = base(yprime, "c")
+    b = yprime.downset("c")
     assert b == {"a", "b", "c"}
     for node in b:
         assert yprime.downset(node) <= b
@@ -194,7 +193,7 @@ def test_base_is_the_smallest_order_closed_set_containing_the_node(two_cells):
 def test_base_unknown_node(two_cells):
     y, _ = two_cells
     with pytest.raises(ValueError):
-        base(y, "zzz")
+        y.downset("zzz")
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +355,10 @@ def test_random_posets_match_their_shuffles():
         fresh = rng.sample(string.ascii_lowercase, len(p))
         mapping = dict(zip(p.nodes, fresh))
         order = rng.sample(list(p.nodes), len(p))
-        shuffled = p.renamed(mapping, order)
-        verdict = is_isomorphic(p, shuffled)
+        copy = shuffled(p, mapping, order)
+        verdict = is_isomorphic(p, copy)
         assert verdict.isomorphic
-        assert check_mapping(p, shuffled, verdict.mapping_dict())
+        assert check_mapping(p, copy, verdict.mapping_dict())
 
 
 def reference_search(a: LabeledPoset, b: LabeledPoset):
@@ -397,7 +396,7 @@ def test_search_returns_the_recursive_searchs_witness(p, rng, rename):
     # A shuffled renamed copy is isomorphic; a copy with one comparable pair
     # dropped or one added mostly is not.  Either way both searches agree.
     names = rng.sample(string.ascii_lowercase, len(p)) if rename else list(p.nodes)
-    other = p.renamed(dict(zip(p.nodes, names)), rng.sample(list(p.nodes), len(p)))
+    other = shuffled(p, dict(zip(p.nodes, names)), rng.sample(list(p.nodes), len(p)))
     if not rename and len(p) >= 2:
         x, y = rng.sample(list(p.nodes), 2)
         relations = [(u, v) for v in p.nodes for u in p.downset(v) if u != v]
@@ -615,7 +614,8 @@ def census_shape(report):
 @given(systems_with_orbits(), st.randoms(use_true_random=False))
 def test_census_does_not_depend_on_element_order_or_names(s, rng):
     assume(len(resolve_all_detailed(s)) <= 60)
-    fresh = dict(zip(s.names, rng.sample([f"r{i}" for i in range(len(s.names))], len(s.names))))
+    names = [e.name for e in s.elements]
+    fresh = dict(zip(names, rng.sample([f"r{i}" for i in range(len(names))], len(names))))
     renamed = replace(
         s,
         elements=tuple(replace(e, name=fresh[e.name]) for e in rng.sample(list(s.elements), len(s.elements))),
@@ -702,10 +702,10 @@ def test_masks_match_the_frozenset_definitions(inputs, rng):
         assert (more == p) == (reference_downsets(labels, relations + [(a, b)]) == down)
         assert LabeledPoset(dict(labels, **{a: labels[a] + 1}), relations) != p
 
-    # renamed: the renamed closure, in the requested order.
+    # renamed: the renamed closure, in the same order.
     mapping = dict(zip(labels, rng.sample([f"m{i}" for i in range(len(labels))], len(labels))))
-    copy = p.renamed(mapping, order)
-    assert copy.nodes == tuple(mapping[x] for x in order)
+    copy = p.renamed(mapping)
+    assert copy.nodes == tuple(mapping[x] for x in labels)
     assert copy.labels() == {mapping[x]: labels[x] for x in labels}
     assert copy == LabeledPoset(
         {mapping[x]: labels[x] for x in order}, [(mapping[a], mapping[b]) for b in labels for a in down[b]]
@@ -729,7 +729,7 @@ def test_check_mapping_matches_the_definition(p, rng, damage):
     # images swapped, or loses or gains a node.
     names = [f"m{i}" for i in range(len(p))]
     right = dict(zip(p.nodes, rng.sample(names, len(p))))
-    other = p.renamed(right, rng.sample(list(p.nodes), len(p)))
+    other = shuffled(p, right, rng.sample(list(p.nodes), len(p)))
     mapping = dict(right)
     if damage == 1 and len(p) >= 2:
         x, y = rng.sample(list(p.nodes), 2)
@@ -785,7 +785,7 @@ def test_search_on_grid_face_posets_returns_the_recursive_searchs_witness(seed):
     rng = random.Random(seed)
     torus, klein = grid_poset(3), grid_poset(3, klein=True)
     names = rng.sample([f"x{i}" for i in range(len(torus))], len(torus))
-    copy = torus.renamed(dict(zip(torus.nodes, names)), rng.sample(list(torus.nodes), len(torus)))
+    copy = shuffled(torus, dict(zip(torus.nodes, names)), rng.sample(list(torus.nodes), len(torus)))
     klein = klein.renamed(dict(zip(klein.nodes, names)))
     assert invariant_profile(klein) == invariant_profile(torus)
     for a, b, isomorphic in ((torus, copy, True), (klein, torus, False)):
