@@ -111,22 +111,29 @@ def build_complex(s: FlowSystem) -> ChainComplexGF2:
         raise InvalidSystemError(violations)
 
     n = s.dimension
-    bases: list[tuple[BasisElement, ...]] = []
-    for k in range(n + 1):
-        level = [BasisElement(e.name, PLAIN, k) for e in s.elements if e.is_rest and e.index == k]
-        level += [BasisElement(e.name, MINUS, k) for e in s.elements if e.is_orbit and e.index == k]
-        level += [BasisElement(e.name, PLUS, k) for e in s.elements if e.is_orbit and e.index == k - 1]
-        bases.append(tuple(level))
+    groups: list[tuple[list, list, list]] = [([], [], []) for _ in range(n + 1)]  # rest points, lower, upper copies
+    for e in s.elements:
+        if e.is_rest:
+            groups[e.index][0].append(BasisElement(e.name, PLAIN, e.index))
+        else:
+            groups[e.index][1].append(BasisElement(e.name, MINUS, e.index))
+            groups[e.index + 1][2].append(BasisElement(e.name, PLUS, e.index + 1))
+    bases = [tuple(rest + lower + upper) for rest, lower, upper in groups]
+    place: dict[str, list[tuple[int, int]]] = {}  # origin -> (degree, position) of each of its copies
+    for k, level in enumerate(bases):
+        for i, x in enumerate(level):
+            place.setdefault(x.origin, []).append((k, i))
 
-    # Entry (row, col) is the parity of c(col.origin, row.origin).  The two
-    # copies of one orbit get 0 because self-connections are unrepresentable.
-    odd = [pair for pair, c in s.connections.items() if c & 1]
-    positions = [{e.origin: i for i, e in enumerate(level)} for level in bases]
-    boundaries: list[MatrixGF2] = [MatrixGF2.zeros(0, len(bases[0]))]
-    for k in range(1, n + 1):
-        row_of, col_of = positions[k - 1], positions[k]
-        ones = [(row_of[dst], col_of[src]) for src, dst in odd if src in col_of and dst in row_of]
-        boundaries.append(MatrixGF2.from_ones(len(bases[k - 1]), len(bases[k]), ones))
+    # Entry (row, col) of d_k is the parity of c(col.origin, row.origin).  The
+    # two copies of one orbit get 0 because self-connections are unrepresentable.
+    ones: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for (src, dst), c in s.connections.items():
+        if c & 1:
+            for k, col in place[src]:
+                for j, row in place[dst]:
+                    if j == k - 1:
+                        ones[k].append((row, col))
+    boundaries = [MatrixGF2.from_ones(len(bases[k - 1]) if k else 0, len(bases[k]), ones[k]) for k in range(n + 1)]
 
     return ChainComplexGF2(top_degree=n, bases=tuple(bases), boundaries=tuple(boundaries))
 

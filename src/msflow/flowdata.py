@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -166,6 +166,11 @@ class FlowSystem:
             if len(betti) != self.dimension + 1 or any(type(b) is not int or b < 0 for b in betti):
                 raise ValueError(f"expected_betti must be {self.dimension + 1} non-negative integers, got {betti!r}")
             object.__setattr__(self, "expected_betti", betti)
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """validate's non-strict findings: an immutable system is checked once, on first use."""
+        return tuple(_check(self))
 
     def has_element(self, name: str) -> bool:
         return any(e.name == name for e in self.elements)
@@ -338,59 +343,7 @@ def validate(s: FlowSystem, strict: bool = False) -> list[Violation]:
     if strict and s.dimension != 2:
         raise ValueError("strict mode only applies to 2-dimensional systems")
 
-    n = s.dimension
-    violations: list[Violation] = []
-
-    seen: set[str] = set()
-    for e in s.elements:
-        if e.name in seen:
-            violations.append(Violation("duplicate-name", (e.name,), f"element name {e.name!r} declared more than once"))
-        seen.add(e.name)
-
-    for e in s.elements:
-        top = n if e.is_rest else n - 1
-        if not (0 <= e.index <= top):
-            violations.append(
-                Violation(
-                    "index-range",
-                    (e.name,),
-                    f"{e.kind} {e.name} has index {e.index}, allowed range 0..{top} in dimension {n}",
-                )
-            )
-
-    known = {e.name: e for e in s.elements}
-    for (src, dst), c in s.connections.items():
-        missing = [x for x in (src, dst) if x not in known]
-        if missing:
-            violations.append(
-                Violation("unknown-element", tuple(missing), f"connection {src} -> {dst} references unknown element(s) {missing}")
-            )
-            continue
-        a, b = known[src], known[dst]
-        u, sd = a.unstable_dim(), b.stable_dim(n)
-        if u + sd < n + 1:
-            violations.append(
-                Violation(
-                    "dimension-rule",
-                    (src, dst),
-                    f"c({src},{dst})={c} requires u+s >= {n + 1}, got u({src})={u}, s({dst})={sd}",
-                )
-            )
-        if (a.is_rest and a.index == 0) or (a.is_orbit and a.index == 0):
-            violations.append(
-                Violation("attractor-rule", (src,), f"attractor {src} ({a.kind}, index {a.index}) has an outgoing connection to {dst}")
-            )
-        if (b.is_rest and b.index == n) or (b.is_orbit and b.index == n - 1):
-            violations.append(
-                Violation("repeller-rule", (dst,), f"repeller {dst} ({b.kind}, index {b.index}) has an incoming connection from {src}")
-            )
-
-    cycle = _find_cycle(s)
-    if cycle:
-        violations.append(
-            Violation("acyclicity", tuple(cycle), "connection digraph has a cycle: " + " -> ".join(cycle))
-        )
-
+    violations = list(s._violations)
     if strict:
         for e in s.elements:
             if e.is_rest and e.index == 1:
@@ -404,48 +357,83 @@ def validate(s: FlowSystem, strict: bool = False) -> list[Violation]:
                             f"saddle {e.name} has outgoing multiplicity {out} and incoming {inc}; strict mode wants exactly 2 and 2",
                         )
                     )
+    return violations
 
+
+def _check(s: FlowSystem) -> list[Violation]:
+    """The non-strict violations of s, rule by rule, in validate's order."""
+    n = s.dimension
+    duplicates: list[Violation] = []
+    ranges: list[Violation] = []
+    # name -> (element, unstable dim, stable dim, attractor?, repeller?) of its last declaration
+    table: dict[str, tuple[CriticalElement, int, int, bool, bool]] = {}
+    for e in s.elements:
+        if e.name in table:
+            duplicates.append(Violation("duplicate-name", (e.name,), f"element name {e.name!r} declared more than once"))
+        orbit = e.kind == ORBIT
+        top = n - 1 if orbit else n
+        if not (0 <= e.index <= top):
+            message = f"{e.kind} {e.name} has index {e.index}, allowed range 0..{top} in dimension {n}"
+            ranges.append(Violation("index-range", (e.name,), message))
+        table[e.name] = (e, e.index + 1 if orbit else e.index, n - e.index, e.index == 0, e.index == top)
+    violations = duplicates + ranges
+
+    for (src, dst), c in s.connections.items():
+        if src not in table or dst not in table:
+            missing = [x for x in (src, dst) if x not in table]
+            violations.append(
+                Violation("unknown-element", tuple(missing), f"connection {src} -> {dst} references unknown element(s) {missing}")
+            )
+            continue
+        a, u, _, attractor, _ = table[src]
+        b, _, sd, _, repeller = table[dst]
+        if u + sd < n + 1:
+            message = f"c({src},{dst})={c} requires u+s >= {n + 1}, got u({src})={u}, s({dst})={sd}"
+            violations.append(Violation("dimension-rule", (src, dst), message))
+        if attractor:
+            violations.append(
+                Violation("attractor-rule", (src,), f"attractor {src} ({a.kind}, index {a.index}) has an outgoing connection to {dst}")
+            )
+        if repeller:
+            violations.append(
+                Violation("repeller-rule", (dst,), f"repeller {dst} ({b.kind}, index {b.index}) has an incoming connection from {src}")
+            )
+
+    cycle = _find_cycle(s)
+    if cycle:
+        violations.append(
+            Violation("acyclicity", tuple(cycle), "connection digraph has a cycle: " + " -> ".join(cycle))
+        )
     return violations
 
 
 def _find_cycle(s: FlowSystem) -> list[str] | None:
     """First cycle of the direct-connection digraph, or None."""
-    adjacency: dict[str, list[str]] = {e.name: [] for e in s.elements}
-    for (src, dst) in s.connections.pairs():
-        if src in adjacency and dst in adjacency:
-            adjacency[src].append(dst)
+    names = list(dict.fromkeys(e.name for e in s.elements))
+    index = {name: i for i, name in enumerate(names)}
+    children: list[list[int]] = [[] for _ in names]
+    for src, dst in s.connections.pairs():
+        if src in index and dst in index:
+            children[index[src]].append(index[dst])
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in adjacency}
-
-    def dfs(start: str) -> list[str] | None:
-        stack: list[tuple[str, Iterator[str]]] = [(start, iter(adjacency[start]))]
-        color[start] = GRAY
-        path = [start]
+    position = [-1] * len(names)  # place on the current path while on it; -1 unseen, -2 done
+    for root in range(len(names)):
+        if position[root] != -1:
+            continue
+        path, stack = [root], [iter(children[root])]
+        position[root] = 0
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    i = path.index(nxt)
-                    return path[i:] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    path.append(nxt)
-                    advanced = True
+            for w in stack[-1]:
+                if position[w] >= 0:
+                    return [names[v] for v in path[position[w] :]] + [names[w]]
+                if position[w] == -1:
+                    position[w] = len(path)
+                    path.append(w)
+                    stack.append(iter(children[w]))
                     break
-            if not advanced:
-                color[node] = BLACK
+            else:
+                position[path.pop()] = -2
                 stack.pop()
-                path.pop()
-        return None
-
-    for name in adjacency:
-        if color[name] == WHITE:
-            found = dfs(name)
-            if found:
-                return found
     return None
 
 

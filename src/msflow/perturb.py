@@ -53,9 +53,17 @@ class ChoiceError(ValueError):
         self.constraint = constraint
 
 
+def _check_token(name) -> None:
+    """Refuse a name that a .msc line would not read back as the one token it
+    is.  An identifier always is one, and is the cheap common case."""
+    if not (isinstance(name, str) and (name.isidentifier() or (name.split() == [name] and "#" not in name))):
+        raise ValueError(f"name {name!r} must be one token with no whitespace and no '#'")
+
+
 def _freeze_counts(counts) -> tuple[tuple[str, int], ...]:
     items = dict(counts)
     for name, c in items.items():
+        _check_token(name)
         if type(c) is not int or c < 1:
             raise ValueError(f"count for {name!r} must be a positive integer, got {c!r}")
     return tuple(sorted(items.items()))
@@ -78,6 +86,8 @@ class ChoiceDescriptor:
     q_in: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
+        for name in (self.orbit, self.p_name, self.q_name):
+            _check_token(name)
         for field_name in ("p_out", "q_out", "p_in", "q_in"):
             object.__setattr__(self, field_name, _freeze_counts(getattr(self, field_name)))
 

@@ -257,6 +257,14 @@ def test_perturb_invalid_choice_names_the_constraint(capsys, tmp_path):
     assert "received no new connection" in err
 
 
+def test_perturb_choice_with_an_invalid_new_name_is_a_name_collision(capsys, tmp_path):
+    choice = tmp_path / "choice.msc"
+    choice.write_text("orbit gamma\nnew 9x q\npout q0 1\n")
+    code, _, err = run_cli(capsys, "perturb", "fig3.msf", "--orbit", "gamma", "--choice", str(choice))
+    assert code == 1
+    assert err == "msflow: error: name-collision: invalid name '9x'\n"
+
+
 def test_perturb_unknown_orbit(capsys):
     code, _, err = run_cli(capsys, "perturb", "fig3.msf", "--orbit", "nope", "--all")
     assert code == 1

@@ -1,7 +1,7 @@
 """Flow-system model: parsing, serialization, validation and reachability."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,8 @@ from msflow import (
     CriticalElement,
     FlowSystem,
     ParseError,
+    Violation,
+    build_complex,
     direct_downstream,
     direct_upstream,
     face_poset,
@@ -21,7 +23,8 @@ from msflow import (
     serialize,
     validate,
 )
-from msflow.flowdata import closure_masks
+from msflow import flowdata
+from msflow.flowdata import _find_cycle, closure_masks
 
 from conftest import all_msf_fixtures, load_fixture, random_valid_system
 
@@ -433,6 +436,156 @@ def test_strict_mode_outside_dimension_two_raises():
     s = parse("dim 3\nrest q 0\n")
     with pytest.raises(ValueError):
         validate(s, strict=True)
+
+
+# The rule-by-rule validator the table-driven one replaced, kept as the
+# reference: properties per connection and a name-keyed depth-first search.
+def reference_validate(s, strict=False):
+    n = s.dimension
+    violations = []
+    seen = set()
+    for e in s.elements:
+        if e.name in seen:
+            violations.append(Violation("duplicate-name", (e.name,), f"element name {e.name!r} declared more than once"))
+        seen.add(e.name)
+    for e in s.elements:
+        top = n if e.is_rest else n - 1
+        if not (0 <= e.index <= top):
+            message = f"{e.kind} {e.name} has index {e.index}, allowed range 0..{top} in dimension {n}"
+            violations.append(Violation("index-range", (e.name,), message))
+    known = {e.name: e for e in s.elements}
+    for (src, dst), c in s.connections.items():
+        missing = [x for x in (src, dst) if x not in known]
+        if missing:
+            message = f"connection {src} -> {dst} references unknown element(s) {missing}"
+            violations.append(Violation("unknown-element", tuple(missing), message))
+            continue
+        a, b = known[src], known[dst]
+        u, sd = a.unstable_dim(), b.stable_dim(n)
+        if u + sd < n + 1:
+            message = f"c({src},{dst})={c} requires u+s >= {n + 1}, got u({src})={u}, s({dst})={sd}"
+            violations.append(Violation("dimension-rule", (src, dst), message))
+        if (a.is_rest and a.index == 0) or (a.is_orbit and a.index == 0):
+            message = f"attractor {src} ({a.kind}, index {a.index}) has an outgoing connection to {dst}"
+            violations.append(Violation("attractor-rule", (src,), message))
+        if (b.is_rest and b.index == n) or (b.is_orbit and b.index == n - 1):
+            message = f"repeller {dst} ({b.kind}, index {b.index}) has an incoming connection from {src}"
+            violations.append(Violation("repeller-rule", (dst,), message))
+    cycle = reference_find_cycle(s)
+    if cycle:
+        violations.append(Violation("acyclicity", tuple(cycle), "connection digraph has a cycle: " + " -> ".join(cycle)))
+    if strict:
+        for e in s.elements:
+            if e.is_rest and e.index == 1:
+                out = sum(s.connections.outgoing(e.name).values())
+                inc = sum(s.connections.incoming(e.name).values())
+                if out != 2 or inc != 2:
+                    message = f"saddle {e.name} has outgoing multiplicity {out} and incoming {inc}; strict mode wants exactly 2 and 2"
+                    violations.append(Violation("saddle-degree", (e.name,), message))
+    return violations
+
+
+def reference_find_cycle(s):
+    adjacency = {e.name: [] for e in s.elements}
+    for src, dst in s.connections.pairs():
+        if src in adjacency and dst in adjacency:
+            adjacency[src].append(dst)
+    color = {name: "white" for name in adjacency}
+    for start in adjacency:
+        if color[start] != "white":
+            continue
+        stack, path = [(start, iter(adjacency[start]))], [start]
+        color[start] = "gray"
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if color[nxt] == "gray":
+                    return path[path.index(nxt):] + [nxt]
+                if color[nxt] == "white":
+                    color[nxt] = "gray"
+                    stack.append((nxt, iter(adjacency[nxt])))
+                    path.append(nxt)
+                    break
+            else:
+                color[node] = "black"
+                stack.pop()
+                path.pop()
+    return None
+
+
+@st.composite
+def soup_systems(draw):
+    """Any system that constructs: repeated names, indices past the top,
+    connections to the undeclared name e, and cycles."""
+    elements = []
+    for name in draw(st.lists(st.sampled_from("abcd"), max_size=7)):
+        index = draw(st.integers(0, 4))
+        twisted = draw(st.none() | st.booleans())
+        elements.append(CriticalElement(name, "rest" if twisted is None else "orbit", index, twisted))
+    pairs = [(a, b) for a in "abcde" for b in "abcde" if a != b]
+    counts = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 3), max_size=12))
+    return FlowSystem(draw(st.integers(1, 3)), tuple(elements), ConnectionMap(counts))
+
+
+@settings(max_examples=500, deadline=None)
+@given(soup_systems())
+def test_validate_matches_the_rule_by_rule_reference(s):
+    assert _find_cycle(s) == reference_find_cycle(s)
+    if s.dimension == 2:
+        assert validate(s, strict=True) == reference_validate(s, strict=True)
+    assert validate(s) == reference_validate(s)
+
+
+def test_validate_matches_the_reference_on_fixtures_and_random_systems():
+    rng = random.Random(11)
+    systems = [load_fixture(name) for name in all_msf_fixtures()] + [random_valid_system(rng) for _ in range(30)]
+    for s in systems:
+        assert validate(s) == reference_validate(s) == []
+
+
+def counting_checks(monkeypatch):
+    """A list that gets one entry per run of the rule checker."""
+    calls = []
+    check = flowdata._check
+    monkeypatch.setattr(flowdata, "_check", lambda s: calls.append(s) or check(s))
+    return calls
+
+
+def test_a_system_is_checked_once(monkeypatch):
+    calls = counting_checks(monkeypatch)
+    s = load_fixture("fig5.msf")
+    validate(s)
+    build_complex(s)
+    validate(s, strict=True)
+    assert calls == [s]
+
+
+def test_validate_hands_out_a_fresh_list_each_call():
+    s = parse("dim 2\nrest a 1\nrest b 1\nconn a b 1\n")
+    first = validate(s)
+    assert [v.rule for v in first] == ["dimension-rule"]
+    first.clear()
+    assert [v.rule for v in validate(s)] == ["dimension-rule"]
+    assert validate(s) is not validate(s)
+
+
+def test_a_replaced_system_is_checked_afresh(monkeypatch):
+    calls = counting_checks(monkeypatch)
+    s = parse("dim 2\nrest a 0\nrest b 1\nconn b a 2\n")
+    assert validate(s) == []
+    broken = replace(s, elements=s.elements + (CriticalElement("a", "rest", 1),))
+    assert [v.rule for v in validate(broken)] == ["duplicate-name", "dimension-rule"]
+    assert calls == [s, broken]
+
+
+def test_checking_leaves_fields_equality_hash_and_repr_alone():
+    text = "dim 2\nlabel x\nrest a 0\nrest b 1\nconn b a 2\n"
+    s, t = parse(text), parse(text)
+    before = hash(s), repr(s)
+    validate(s)
+    assert s == t and (hash(s), repr(s)) == before == (hash(t), repr(t))
+    assert [f.name for f in fields(s)] == ["dimension", "elements", "connections", "label", "expected_betti"]
+    assert serialize(s) == text
 
 
 # ---------------------------------------------------------------------------

@@ -440,21 +440,47 @@ def test_choice_round_trip_with_inbound_sections():
     assert parse_choice(text) == d
 
 
+# Names a descriptor might be handed: tokens, and text a .msc line would
+# split, cut at a comment mark or drop, plus values that are not text.
+NAMES = st.one_of(
+    st.sampled_from(["g", "p", "q", "a", "b", "9x", "a b", "p#x", "#", "", " g", "g\n", "\u2028", "\x1c"]),
+    st.text(max_size=3),
+    st.integers(0, 9),
+    st.none(),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(
-    st.dictionaries(
-        st.sampled_from("abc"),
-        st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([1.0, 1.5, "1", None])),
-        max_size=3,
+@given(
+    st.tuples(NAMES, NAMES, NAMES),
+    st.lists(
+        st.dictionaries(
+            st.one_of(st.sampled_from("abc"), NAMES),
+            st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([1.0, 1.5, "1", None])),
+            max_size=3,
+        ),
+        min_size=4, max_size=4,
     ),
-    min_size=4, max_size=4,
-))
-def test_every_descriptor_that_constructs_survives_a_round_trip(maps):
+)
+def test_every_descriptor_that_constructs_survives_a_round_trip(names, maps):
     try:
-        d = ChoiceDescriptor("g", "p", "q", *maps)
+        d = ChoiceDescriptor(*names, *maps)
     except ValueError:
         return
     assert parse_choice(serialize_choice(d)) == d
+
+
+@pytest.mark.parametrize("names, p_out", [
+    (("g h", "p", "q"), {}),
+    (("g", "p", "q"), {"a b": 1}),
+    (("g", "p#x", "q"), {}),
+    (("g", "p", ""), {}),
+    ((7, "p", "q"), {}),
+    (("g", "p", "q"), {7: 1}),
+], ids=["orbit-space", "key-space", "p-hash", "q-empty", "orbit-int", "key-int"])
+def test_descriptor_names_that_would_not_read_back_are_refused(names, p_out):
+    with pytest.raises(ValueError, match="must be one token"):
+        ChoiceDescriptor(*names, p_out=p_out)
 
 
 def test_parse_choice_rejects_malformed_text():
