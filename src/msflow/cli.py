@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import ejcomplex, flowdata, perturb, poset
-from .ejcomplex import ChainComplexGF2, D2Error
+from .ejcomplex import ChainComplexGF2, D2Error, InvalidSystemError
 from .flowdata import FlowSystem
 
 
@@ -281,6 +281,8 @@ def cmd_compare(args) -> int:
 
 def cmd_perturb(args) -> int:
     system, name = load_system(args.file)
+    if violations := flowdata.validate(system):
+        raise InvalidSystemError(violations)
     if args.all:
         choices = perturb.enumerate_choices_2d(system, args.orbit)
         out_dir = Path(args.out)

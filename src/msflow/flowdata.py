@@ -345,10 +345,14 @@ def validate(s: FlowSystem, strict: bool = False) -> list[Violation]:
 
     violations = list(s._violations)
     if strict:
+        outs: dict[str, int] = {}
+        ins: dict[str, int] = {}
+        for (src, dst), c in s.connections.items():
+            outs[src] = outs.get(src, 0) + c
+            ins[dst] = ins.get(dst, 0) + c
         for e in s.elements:
             if e.is_rest and e.index == 1:
-                out = sum(s.connections.outgoing(e.name).values())
-                inc = sum(s.connections.incoming(e.name).values())
+                out, inc = outs.get(e.name, 0), ins.get(e.name, 0)
                 if out != 2 or inc != 2:
                     violations.append(
                         Violation(

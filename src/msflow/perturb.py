@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping
 
 from .ejcomplex import (
     BasisElement,
     DiffCell,
+    InvalidSystemError,
     MINUS,
     PLAIN,
     PLUS,
@@ -201,7 +201,7 @@ def validate_choice(s: FlowSystem, d: ChoiceDescriptor) -> None:
                 )
 
 
-def apply_choice(s: FlowSystem, d: ChoiceDescriptor, check_claims: bool = True) -> PerturbationResult:
+def apply_choice(s: FlowSystem, d: ChoiceDescriptor) -> PerturbationResult:
     """Replace the orbit γ of index k named by d with rest points p (index
     k+1) and q (index k) in γ's declaration slot, joined by c(p, q) = 2, and
     hand γ's connections on to p and q as d says.  Every connection not
@@ -212,7 +212,7 @@ def apply_choice(s: FlowSystem, d: ChoiceDescriptor, check_claims: bool = True) 
         choice=d,
         attaching_degree=2 if s.element(d.orbit).twisted else 0,
     )
-    if check_claims and s.dimension == 2:
+    if s.dimension == 2:
         result = replace(result, claims_report=verify_franks_claims(s, result))
     return result
 
@@ -241,12 +241,7 @@ def _replace_orbit(s: FlowSystem, d: ChoiceDescriptor) -> FlowSystem:
     return replace(s, elements=tuple(elements), connections=ConnectionMap(counts))
 
 
-def enumerate_choices_2d(
-    s: FlowSystem,
-    orbit_name: str,
-    p_name: str | None = None,
-    q_name: str | None = None,
-) -> list[ChoiceDescriptor]:
+def enumerate_choices_2d(s: FlowSystem, orbit_name: str) -> list[ChoiceDescriptor]:
     """All admissible redistribution choices for a 2D orbit.
 
     Repelling orbit (index 1): the new source p inherits every downstream
@@ -257,9 +252,9 @@ def enumerate_choices_2d(
     repelling orbits upstream; p's only outgoing flow is the double
     connection to q that every replacement carries.
 
-    Unless given, p and q are named ``p_<orbit>`` and ``q_<orbit>``, or, when
-    s already has an element of that name, the first free ``p_<orbit>_<k>``
-    (k = 2, 3, ...), and likewise for q.
+    p and q are named ``p_<orbit>`` and ``q_<orbit>``, or, when s already
+    has an element of that name, the first free ``p_<orbit>_<k>`` (k = 2,
+    3, ...), and likewise for q.
     """
     if s.dimension != 2:
         raise ValueError(f"choice enumeration is only defined in dimension 2 (got {s.dimension})")
@@ -269,8 +264,8 @@ def enumerate_choices_2d(
     if gamma.index not in (0, s.dimension - 1):
         raise ValueError(f"orbit index {gamma.index} outside the handled range {{0, {s.dimension - 1}}}")
 
-    p_name = p_name or _fresh_name(s, f"p_{orbit_name}")
-    q_name = q_name or _fresh_name(s, f"q_{orbit_name}")
+    p_name = _fresh_name(s, f"p_{orbit_name}")
+    q_name = _fresh_name(s, f"q_{orbit_name}")
     down = direct_downstream(s, orbit_name)
     up = direct_upstream(s, orbit_name)
     choices: list[ChoiceDescriptor] = []
@@ -414,44 +409,34 @@ def _cell_str(cell: DiffCell) -> str:
     return f"d_{cell.degree}[{cell.row.label}, {cell.col.label}]: {cell.left} vs {cell.right}"
 
 
-def resolve_all_detailed(
-    s: FlowSystem, descriptors: Mapping[str, ChoiceDescriptor] | None = None
-) -> list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]]:
+def resolve_all_detailed(s: FlowSystem) -> list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]]:
     """Every gradient-like resolution of s together with the choices taken.
 
-    Orbits are resolved in declaration order; without explicit descriptors the
-    2D enumeration runs at each step, so the output is the Cartesian product
-    of the per-orbit choice lists (re-enumerated on each intermediate system).
+    An invalid s is refused with its violations.  Orbits are resolved in
+    declaration order with the 2D enumeration at each step (re-run on each
+    intermediate system), so the output is the Cartesian product of the
+    per-orbit choice lists.  Each choice is applied unchecked: an enumerated
+    choice for a valid system is admissible and its result valid again (p and
+    q get fresh names and indices in range, every new connection keeps the
+    dimension rule and with it the attractor and repeller rules, and a cycle
+    through p or q would have run through the orbit).
     """
     orbit_names = [e.name for e in s.elements if e.is_orbit]
-    if descriptors is None:
-        if orbit_names and s.dimension != 2:
-            raise ValueError(
-                f"automatic choice enumeration is unsupported in dimension {s.dimension}; supply an explicit descriptor per orbit"
-            )
-    else:
-        missing = [o for o in orbit_names if o not in descriptors]
-        if missing:
-            raise ValueError(f"no descriptor supplied for orbit(s) {missing}")
-
-    # An enumerated choice for a valid system is admissible, and its result
-    # is valid again: p and q get fresh names and indices in range, every new
-    # connection keeps the dimension rule (and with it the attractor and
-    # repeller rules), and a cycle through p or q would have run through the
-    # orbit.  So after one check of s, enumerated choices skip validate_choice.
-    if descriptors is None and not validate(s):
-        step = _replace_orbit
-    else:
-        step = lambda current, d: apply_choice(current, d, check_claims=False).system  # noqa: E731
+    if orbit_names and s.dimension != 2:
+        raise ValueError(
+            f"automatic choice enumeration is unsupported in dimension {s.dimension}; supply an explicit descriptor per orbit"
+        )
+    if violations := validate(s):
+        raise InvalidSystemError(violations)
 
     # One orbit at a time, extending every partial resolution by each of its
     # choices in turn: the same order as a depth-first walk.
     results: list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]] = [(s, ())]
     for orbit in orbit_names:
         results = [
-            (step(current, d), chosen + (d,))
+            (_replace_orbit(current, d), chosen + (d,))
             for current, chosen in results
-            for d in ([descriptors[orbit]] if descriptors is not None else enumerate_choices_2d(current, orbit))
+            for d in enumerate_choices_2d(current, orbit)
         ]
     return results
 

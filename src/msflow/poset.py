@@ -478,18 +478,17 @@ def census(s: FlowSystem) -> CensusReport:
     gradient-like systems by face-poset isomorphism.  Classes are reported in
     order of first appearance; a gradient input yields a single class.
 
-    The input is validated once: every resolution of a valid system is
-    valid (see resolve_all_detailed), so their face posets are built
+    An invalid input is refused by resolve_all_detailed, and every
+    resolution of a valid system is valid, so their face posets are built
     unchecked.  Each face poset's node signatures are computed once.
     Isomorphic posets have equal signature multisets, so a new poset is
     searched against only the classes that share its sorted signatures, its
     key, each from a search plan built on that class's first search."""
-    clean = not validate(s)
     resolutions = resolve_all_detailed(s)
     classes: list[dict] = []
     by_key: dict[tuple, list[dict]] = {}
     for system, choices in resolutions:
-        poset = _build_face_poset(system) if clean else face_poset(system)
+        poset = _build_face_poset(system)
         signatures = _signatures(poset)
         bucket = by_key.setdefault(tuple(sorted(signatures.values())), [])
         for cls in bucket:

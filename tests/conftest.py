@@ -2,8 +2,9 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from msflow import CriticalElement, FlowSystem, LabeledPoset, parse
+from msflow import ConnectionMap, CriticalElement, FlowSystem, LabeledPoset, parse
 from msflow.cli import fixtures_dir
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -91,3 +92,17 @@ def random_valid_system(rng: random.Random, *, max_elements: int = 8) -> FlowSys
 
     label = f"random_{rng.randint(0, 10**6)}" if rng.random() < 0.5 else None
     return FlowSystem(dimension=n, elements=elements, connections=counts, label=label)
+
+
+@st.composite
+def soup_systems(draw):
+    """Any system that constructs: repeated names, indices past the top,
+    connections to the undeclared name e, and cycles."""
+    elements = []
+    for name in draw(st.lists(st.sampled_from("abcd"), max_size=7)):
+        index = draw(st.integers(0, 4))
+        twisted = draw(st.none() | st.booleans())
+        elements.append(CriticalElement(name, "rest" if twisted is None else "orbit", index, twisted))
+    pairs = [(a, b) for a in "abcde" for b in "abcde" if a != b]
+    counts = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 3), max_size=12))
+    return FlowSystem(draw(st.integers(1, 3)), tuple(elements), ConnectionMap(counts))

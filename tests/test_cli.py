@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from msflow import (
+    InvalidSystemError,
     betti,
     build_complex,
     cell_equivalence_verdict,
@@ -271,8 +272,47 @@ def test_perturb_unknown_orbit(capsys):
     assert "msflow: error:" in err
 
 
+# The orbit's only downstream element is a source, so it has nowhere to land:
+# an empty enumeration here would read as an answer.
+LANDLESS = "dim 2\nrest e0 2\norbit e1 1 untwisted\nconn e1 e0 1\n"
+
+
+def test_perturb_all_refuses_an_invalid_input(capsys, tmp_path):
+    bad = tmp_path / "landless.msf"
+    bad.write_text(LANDLESS)
+    out_dir = tmp_path / "resolved"
+    code, out, err = run_cli(capsys, "perturb", str(bad), "--orbit", "e1", "--all", "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == f"msflow: error: {InvalidSystemError(validate(parse(LANDLESS)))}\n"
+    assert not out_dir.exists()
+
+
+def test_perturb_choice_refuses_an_invalid_input_outside_dimension_two(capsys, tmp_path):
+    # No claims run in 3D, so nothing else would validate the input.
+    text = fixture_path("fig6.msf").read_text() + "conn q0 r1 1\n"
+    assert len(validate(parse(text))) == 3
+    bad = tmp_path / "bad.msf"
+    bad.write_text(text)
+    choice = tmp_path / "choice.msc"
+    choice.write_text("orbit gamma\nnew p_g q_g\npin p1 2\nqin p2 1\nqin p3 1\nqin s1 1\nqin s2 2\n")
+    target = tmp_path / "result.msf"
+    code, out, err = run_cli(capsys, "perturb", str(bad), "--orbit", "gamma", "--choice", str(choice), "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"msflow: error: {InvalidSystemError(validate(parse(text)))}\n"
+    assert err.startswith("msflow: error: system fails validation: ")
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # census
+
+
+def test_census_refuses_an_invalid_input(capsys, tmp_path):
+    bad = tmp_path / "landless.msf"
+    bad.write_text(LANDLESS)
+    code, out, err = run_cli(capsys, "census", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"msflow: error: {InvalidSystemError(validate(parse(LANDLESS)))}\n"
 
 
 def test_census_text(capsys):

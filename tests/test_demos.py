@@ -1,4 +1,5 @@
-"""The demos run to completion against the package in src/."""
+"""The demos run to completion against the package in src/ and print what
+their golden files in tests/golden/demos/ hold."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import GOLDEN_DIR
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,4 +21,4 @@ def test_demo_runs(demo, tmp_path):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    assert result.stdout == (GOLDEN_DIR / "demos" / f"{demo.stem}.txt").read_text()

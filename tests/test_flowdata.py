@@ -26,7 +26,7 @@ from msflow import (
 from msflow import flowdata
 from msflow.flowdata import _find_cycle, closure_masks
 
-from conftest import all_msf_fixtures, load_fixture, random_valid_system
+from conftest import all_msf_fixtures, load_fixture, random_valid_system, soup_systems
 
 
 # ---------------------------------------------------------------------------
@@ -511,20 +511,6 @@ def reference_find_cycle(s):
                 stack.pop()
                 path.pop()
     return None
-
-
-@st.composite
-def soup_systems(draw):
-    """Any system that constructs: repeated names, indices past the top,
-    connections to the undeclared name e, and cycles."""
-    elements = []
-    for name in draw(st.lists(st.sampled_from("abcd"), max_size=7)):
-        index = draw(st.integers(0, 4))
-        twisted = draw(st.none() | st.booleans())
-        elements.append(CriticalElement(name, "rest" if twisted is None else "orbit", index, twisted))
-    pairs = [(a, b) for a in "abcde" for b in "abcde" if a != b]
-    counts = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 3), max_size=12))
-    return FlowSystem(draw(st.integers(1, 3)), tuple(elements), ConnectionMap(counts))
 
 
 @settings(max_examples=500, deadline=None)

@@ -31,7 +31,7 @@ from msflow import (
 from msflow import ParseError
 from msflow.perturb import validate_choice
 
-from conftest import load_fixture, random_valid_system, structure
+from conftest import load_fixture, random_valid_system, soup_systems, structure
 
 
 def fig3_choices(fig3):
@@ -145,7 +145,7 @@ def test_apply_choice_records_double_connection_and_degree(fig3):
 def test_new_pair_coefficient_vanishes_in_the_complex(fig3):
     # c(p, q) = 2, so the boundary entry pairing p with q is 0 mod 2.
     for choice in fig3_choices(fig3):
-        result = apply_choice(fig3, choice, check_claims=False)
+        result = apply_choice(fig3, choice)
         c = build_complex(result.system)
         col = [b.label for b in c.basis(2)].index("p_gamma")
         row = [b.label for b in c.basis(1)].index("q_gamma")
@@ -154,7 +154,7 @@ def test_new_pair_coefficient_vanishes_in_the_complex(fig3):
 
 def test_apply_choice_results_validate(fig3):
     for choice in fig3_choices(fig3):
-        result = apply_choice(fig3, choice, check_claims=False)
+        result = apply_choice(fig3, choice)
         assert validate(result.system) == []
         assert not result.system.orbits()
 
@@ -219,8 +219,6 @@ def test_default_names_skip_names_already_taken():
     for choice in enumerate_choices_2d(s, "g"):
         assert (choice.p_name, choice.q_name) == ("p_g_2", "q_g_3")
         assert validate(apply_choice(s, choice).system) == []
-    explicit = enumerate_choices_2d(s, "g", p_name="p", q_name="q")
-    assert {(c.p_name, c.q_name) for c in explicit} == {("p", "q")}
 
 
 def test_default_names_are_unchanged_without_a_clash(fig3):
@@ -319,21 +317,21 @@ def test_resolve_all_detailed_pairs_choices_with_systems(fig3):
     assert len(detailed) == 6
     for system, choices in detailed:
         assert len(choices) == 1 and choices[0].orbit == "gamma"
-        assert system == apply_choice(fig3, choices[0], check_claims=False).system
+        assert system == apply_choice(fig3, choices[0]).system
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32))
 def test_every_resolution_of_a_random_valid_system_validates_clean(seed):
     # Enumerated choices on a valid input skip validate_choice; the systems
-    # they give must still pass every rule, and equal the checked path's.
+    # they give must still pass every rule, and equal apply_choice's.
     s = random_valid_system(random.Random(seed))
     assume(s.dimension == 2 and s.orbits())
     for system, choices in resolve_all_detailed(s):
         assert validate(system) == [], [d.summary() for d in choices]
         checked = s
         for d in choices:
-            checked = apply_choice(checked, d, check_claims=False).system
+            checked = apply_choice(checked, d).system
         assert system == checked
 
 
@@ -344,65 +342,73 @@ REPELLING_ORBIT_WITH_INFLOW = "dim 2\nrest r 2\norbit g 1 untwisted\nrest q0 0\n
 
 
 @pytest.mark.parametrize(
-    "text, error, message",
-    [
-        (ORBIT_INTO_SOURCE, ChoiceError, "dimension-rule: p_out connection p_g -> r has u+s = 2+0 < 3"),
-        (ATTRACTING_ORBIT_WITH_OUTFLOW, ValueError, "attracting orbit a has downstream connections; system is invalid"),
-        (REPELLING_ORBIT_WITH_INFLOW, ValueError, "repelling orbit g has upstream connections; system is invalid"),
-    ],
+    "text", [ORBIT_INTO_SOURCE, ATTRACTING_ORBIT_WITH_OUTFLOW, REPELLING_ORBIT_WITH_INFLOW],
     ids=["orbit-into-source", "attracting-orbit-with-outflow", "repelling-orbit-with-inflow"],
 )
 @pytest.mark.parametrize("resolve", [resolve_all_detailed, census])
-def test_invalid_inputs_are_refused_by_each_resolution_as_before(text, error, message, resolve):
-    with pytest.raises(error) as refused:
-        resolve(parse(text))
-    assert type(refused.value) is error and str(refused.value) == message
-
-
-def test_a_rest_point_cycle_is_resolved_unchecked_and_refused_by_census():
-    # The cycle runs through two saddles, away from the orbit, so each
-    # choice is admissible; census refuses the first resolution's face poset.
-    s = parse(REST_CYCLE)
-    ((system, _),) = resolve_all_detailed(s)
-    assert serialize(system) == (
-        "dim 2\nrest p_g 2\nrest q_g 1\nrest s1 1\nrest s2 1\nrest q0 0\nconn p_g q0 1\n"
-        "conn p_g q_g 2\nconn q_g q0 2\nconn s1 q0 2\nconn s1 s2 1\nconn s2 s1 1\n"
-    )
+def test_invalid_inputs_are_refused_by_each_resolution_as_before(text, resolve):
+    # Each resolution refuses the input itself, with its own violations,
+    # before any choice is enumerated or applied.
+    s = parse(text)
+    assert validate(s)
     with pytest.raises(InvalidSystemError) as refused:
-        census(s)
-    assert str(refused.value) == (
-        "system fails validation: [dimension-rule] c(s1,s2)=1 requires u+s >= 3, got u(s1)=1, s(s2)=1; "
-        "[dimension-rule] c(s2,s1)=1 requires u+s >= 3, got u(s2)=1, s(s1)=1; "
-        "[acyclicity] connection digraph has a cycle: s1 -> s2 -> s1"
-    )
+        resolve(s)
+    assert str(refused.value) == str(InvalidSystemError(validate(s)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(soup_systems())
+def test_each_resolution_answers_only_a_valid_input(s):
+    violations = validate(s)
+    for resolve in (resolve_all_detailed, census):
+        try:
+            resolve(s)
+        except InvalidSystemError as refused:
+            assert violations and str(refused) == str(InvalidSystemError(violations))
+        except ValueError:
+            assert s.dimension != 2 and s.orbits()  # no enumeration outside 2D
+        else:
+            assert not violations
+
+
+def test_a_rest_point_cycle_away_from_the_orbit_is_refused_up_front():
+    # The cycle runs through two saddles, away from the orbit, so each
+    # choice would be admissible; the input is refused before any is made.
+    for resolve in (resolve_all_detailed, census):
+        with pytest.raises(InvalidSystemError) as refused:
+            resolve(parse(REST_CYCLE))
+        assert str(refused.value) == (
+            "system fails validation: [dimension-rule] c(s1,s2)=1 requires u+s >= 3, got u(s1)=1, s(s2)=1; "
+            "[dimension-rule] c(s2,s1)=1 requires u+s >= 3, got u(s2)=1, s(s1)=1; "
+            "[acyclicity] connection digraph has a cycle: s1 -> s2 -> s1"
+        )
 
 
 def test_resolve_all_needs_descriptors_outside_dimension_two(fig6):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         resolve_all_detailed(fig6)
-
-
-def test_resolve_all_with_explicit_descriptor_in_three_dimensions(fig6):
-    # Only the index-2 rest point p1 may feed the new index-1 saddle; the
-    # other feeders drop to the new sink.
-    d = ChoiceDescriptor(
-        orbit="gamma", p_name="p_g", q_name="q_g",
-        p_in={"p1": 2}, q_in={"p2": 1, "p3": 1, "s1": 1, "s2": 2},
+    assert str(refused.value) == (
+        "automatic choice enumeration is unsupported in dimension 3; supply an explicit descriptor per orbit"
     )
-    (pair,) = resolve_all_detailed(fig6, {"gamma": d})
-    system, choices = pair
-    assert choices == (d,)
+
+
+# Only the index-2 rest point p1 may feed the new index-1 saddle; the other
+# feeders drop to the new sink.
+FIG6_CHOICE = ChoiceDescriptor(
+    orbit="gamma", p_name="p_g", q_name="q_g",
+    p_in={"p1": 2}, q_in={"p2": 1, "p3": 1, "s1": 1, "s2": 2},
+)
+
+
+def test_apply_choice_with_an_explicit_descriptor_in_three_dimensions(fig6):
+    system = apply_choice(fig6, FIG6_CHOICE).system
     assert not system.orbits()
     assert validate(system) == []
     assert system.connections.count("p_g", "q_g") == 2
 
 
 def test_claims_are_not_computed_outside_dimension_two(fig6):
-    d = ChoiceDescriptor(
-        orbit="gamma", p_name="p_g", q_name="q_g",
-        p_in={"p1": 2}, q_in={"p2": 1, "p3": 1, "s1": 1, "s2": 2},
-    )
-    result = apply_choice(fig6, d)
+    result = apply_choice(fig6, FIG6_CHOICE)
     assert result.claims_report is None
 
 

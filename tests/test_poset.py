@@ -641,7 +641,7 @@ def test_census_validates_its_input_once_however_many_resolutions(monkeypatch):
         calls.clear()
         total = census(orbits_over_sinks(k, m, d)).total
         seen.append((total, calls["validate"], calls["validate_choice"]))
-    assert seen == [(27, 2, 0), (216, 2, 0)]
+    assert seen == [(27, 1, 0), (216, 1, 0)]
 
 
 # ---------------------------------------------------------------------------
