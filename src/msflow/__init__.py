@@ -26,8 +26,6 @@ from .flowdata import (
     FlowSystem,
     ParseError,
     Violation,
-    direct_downstream,
-    direct_upstream,
     parse,
     serialize,
     validate,
@@ -78,8 +76,6 @@ __all__ = [
     "parse",
     "serialize",
     "validate",
-    "direct_downstream",
-    "direct_upstream",
     "BasisElement",
     "ChainComplexGF2",
     "D2Violation",

@@ -307,6 +307,8 @@ def cmd_perturb(args) -> int:
         return 0
 
     descriptor = perturb.parse_choice(resolve_input(args.choice).read_text())
+    if descriptor.orbit != args.orbit:
+        raise ValueError(f"--orbit {args.orbit} does not match the choice's orbit {descriptor.orbit}")
     result = perturb.apply_choice(system, descriptor)
     serialized = flowdata.serialize(result.system)
     payload = {

@@ -442,19 +442,7 @@ def _find_cycle(s: FlowSystem) -> list[str] | None:
 
 
 # ---------------------------------------------------------------------------
-# Flow queries
-
-
-def direct_downstream(s: FlowSystem, name: str) -> dict[str, int]:
-    """Directly connected targets of ``name`` with their counts."""
-    s.element(name)
-    return s.connections.outgoing(name)
-
-
-def direct_upstream(s: FlowSystem, name: str) -> dict[str, int]:
-    """Directly connected sources into ``name`` with their counts."""
-    s.element(name)
-    return s.connections.incoming(name)
+# Transitive closure
 
 
 def closure_masks(children: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:

@@ -37,8 +37,6 @@ from .flowdata import (
     FlowSystem,
     NAME_RE,
     ParseError,
-    direct_downstream,
-    direct_upstream,
     directive_lines,
     read_int,
     validate,
@@ -144,7 +142,10 @@ class PerturbationResult:
 
 
 def validate_choice(s: FlowSystem, d: ChoiceDescriptor) -> None:
-    """Raise ChoiceError unless d is admissible for s."""
+    """Raise ChoiceError unless d names an orbit of s, a fresh pair of valid
+    names, and a redistribution onto exactly the orbit's neighbours.  The
+    flow rules (the dimension rule above all) are validate's, and
+    apply_choice asks it on the system it builds."""
     gamma = s.element(d.orbit)
     if not gamma.is_orbit:
         raise ChoiceError("orbit", f"{d.orbit} is not a closed orbit")
@@ -156,8 +157,8 @@ def validate_choice(s: FlowSystem, d: ChoiceDescriptor) -> None:
         if s.has_element(fresh) and fresh != d.orbit:
             raise ChoiceError("name-collision", f"{fresh!r} already names an element")
 
-    down = direct_downstream(s, d.orbit)
-    up = direct_upstream(s, d.orbit)
+    down = s.connections.outgoing(d.orbit)
+    up = s.connections.incoming(d.orbit)
 
     for tag, counts, allowed in (
         ("p_out", d.p_out_counts(), down),
@@ -177,41 +178,22 @@ def validate_choice(s: FlowSystem, d: ChoiceDescriptor) -> None:
     if uncovered_up:
         raise ChoiceError("coverage", f"upstream element(s) {uncovered_up} of {d.orbit} received no new connection")
 
-    n = s.dimension
-    k = gamma.index
-    u_dims = {d.p_name: k + 1, d.q_name: k}
-    for tag, counts in (("p_out", d.p_out_counts()), ("q_out", d.q_out_counts())):
-        new_src = d.p_name if tag == "p_out" else d.q_name
-        for target in counts:
-            u, sd = u_dims[new_src], s.element(target).stable_dim(n)
-            if u + sd < n + 1:
-                raise ChoiceError(
-                    "dimension-rule",
-                    f"{tag} connection {new_src} -> {target} has u+s = {u}+{sd} < {n + 1}",
-                )
-    for tag, counts in (("p_in", d.p_in_counts()), ("q_in", d.q_in_counts())):
-        new_dst = d.p_name if tag == "p_in" else d.q_name
-        sd = n - u_dims[new_dst]
-        for source in counts:
-            u = s.element(source).unstable_dim()
-            if u + sd < n + 1:
-                raise ChoiceError(
-                    "dimension-rule",
-                    f"{tag} connection {source} -> {new_dst} has u+s = {u}+{sd} < {n + 1}",
-                )
-
 
 def apply_choice(s: FlowSystem, d: ChoiceDescriptor) -> PerturbationResult:
     """Replace the orbit γ of index k named by d with rest points p (index
     k+1) and q (index k) in γ's declaration slot, joined by c(p, q) = 2, and
     hand γ's connections on to p and q as d says.  Every connection not
-    touching γ is left untouched."""
+    touching γ is left untouched.
+
+    An invalid s is refused with InvalidSystemError, and a result that
+    breaks a flow rule with ChoiceError naming validate's first violation."""
+    if violations := validate(s):
+        raise InvalidSystemError(violations)
     validate_choice(s, d)
-    result = PerturbationResult(
-        system=_replace_orbit(s, d),
-        choice=d,
-        attaching_degree=2 if s.element(d.orbit).twisted else 0,
-    )
+    system = _replace_orbit(s, d)
+    if violations := validate(system):
+        raise ChoiceError(violations[0].rule, violations[0].message)
+    result = PerturbationResult(system=system, choice=d, attaching_degree=2 if s.element(d.orbit).twisted else 0)
     if s.dimension == 2:
         result = replace(result, claims_report=verify_franks_claims(s, result))
     return result
@@ -266,8 +248,8 @@ def enumerate_choices_2d(s: FlowSystem, orbit_name: str) -> list[ChoiceDescripto
 
     p_name = _fresh_name(s, f"p_{orbit_name}")
     q_name = _fresh_name(s, f"q_{orbit_name}")
-    down = direct_downstream(s, orbit_name)
-    up = direct_upstream(s, orbit_name)
+    down = s.connections.outgoing(orbit_name)
+    up = s.connections.incoming(orbit_name)
     choices: list[ChoiceDescriptor] = []
 
     if gamma.index == s.dimension - 1:  # repelling orbit
@@ -424,7 +406,8 @@ def resolve_all_detailed(s: FlowSystem) -> list[tuple[FlowSystem, tuple[ChoiceDe
     orbit_names = [e.name for e in s.elements if e.is_orbit]
     if orbit_names and s.dimension != 2:
         raise ValueError(
-            f"automatic choice enumeration is unsupported in dimension {s.dimension}; supply an explicit descriptor per orbit"
+            f"automatic choice enumeration is unsupported in dimension {s.dimension}; "
+            "apply one explicit choice per orbit with apply_choice or msflow perturb --choice"
         )
     if violations := validate(s):
         raise InvalidSystemError(violations)

@@ -266,6 +266,37 @@ def test_perturb_choice_with_an_invalid_new_name_is_a_name_collision(capsys, tmp
     assert err == "msflow: error: name-collision: invalid name '9x'\n"
 
 
+def test_perturb_choice_that_breaks_the_dimension_rule_is_refused_with_the_validators_message(capsys, tmp_path):
+    choice = tmp_path / "choice.msc"
+    choice.write_text("orbit gamma\nnew p q\npout q0 1\npout q1 1\npout q2 1\npout s 2\nqout s 2\n")
+    target = tmp_path / "result.msf"
+    code, out, err = run_cli(capsys, "perturb", "fig3.msf", "--orbit", "gamma", "--choice", str(choice), "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == "msflow: error: dimension-rule: c(q,s)=2 requires u+s >= 3, got u(q)=1, s(s)=1\n"
+    assert not target.exists()
+
+
+def test_perturb_choice_refuses_an_orbit_other_than_the_choices(capsys, tmp_path):
+    choice = tmp_path / "choice.msc"
+    choice.write_text(
+        "orbit gamma\nnew p_gamma q_gamma\n"
+        "pout q0 1\npout q1 1\npout q2 1\npout s 2\n"
+        "qout q0 1\nqout q1 1\n"
+    )
+    code, out, err = run_cli(capsys, "perturb", "fig3.msf", "--orbit", "nosuch", "--choice", str(choice))
+    assert (code, out) == (1, "")
+    assert err == "msflow: error: --orbit nosuch does not match the choice's orbit gamma\n"
+
+
+def test_census_refuses_automatic_enumeration_in_dimension_three(capsys):
+    code, out, err = run_cli(capsys, "census", "fig6.msf")
+    assert (code, out) == (1, "")
+    assert err == (
+        "msflow: error: automatic choice enumeration is unsupported in dimension 3; "
+        "apply one explicit choice per orbit with apply_choice or msflow perturb --choice\n"
+    )
+
+
 def test_perturb_unknown_orbit(capsys):
     code, _, err = run_cli(capsys, "perturb", "fig3.msf", "--orbit", "nope", "--all")
     assert code == 1

@@ -14,8 +14,6 @@ from msflow import (
     ParseError,
     Violation,
     build_complex,
-    direct_downstream,
-    direct_upstream,
     face_poset,
     parse,
     parse_choice,
@@ -23,6 +21,7 @@ from msflow import (
     serialize,
     validate,
 )
+import msflow
 from msflow import flowdata
 from msflow.flowdata import _find_cycle, closure_masks
 
@@ -575,31 +574,39 @@ def test_checking_leaves_fields_equality_hash_and_repr_alone():
 
 
 # ---------------------------------------------------------------------------
-# downstream / upstream / reachability
+# direct connections (what perturb reads) and reachability
 
 
 def test_direct_downstream_of_orbit(fig5):
-    assert direct_downstream(fig5, "gamma") == {
+    assert fig5.connections.outgoing("gamma") == {
         "q1": 1, "q2": 1, "q3": 1, "q4": 1, "s1": 2, "s2": 2,
     }
 
 
 def test_direct_downstream_of_sink_is_empty(fig5):
-    assert direct_downstream(fig5, "q1") == {}
+    assert fig5.connections.outgoing("q1") == {}
 
 
 def test_direct_downstream_in_three_dimensions(fig6):
-    assert direct_downstream(fig6, "r1") == {"p1": 1, "p2": 1, "p3": 1}
+    assert fig6.connections.outgoing("r1") == {"p1": 1, "p2": 1, "p3": 1}
 
 
 def test_direct_upstream(fig5):
-    assert direct_upstream(fig5, "s1") == {"gamma": 2}
-    assert direct_upstream(fig5, "q3") == {"s2": 1, "gamma": 1}
+    assert fig5.connections.incoming("s1") == {"gamma": 2}
+    assert fig5.connections.incoming("q3") == {"s2": 1, "gamma": 1}
 
 
-def test_direct_downstream_unknown_element(fig5):
-    with pytest.raises(ValueError):
-        direct_downstream(fig5, "nope")
+def test_public_names_match_the_package_imports():
+    # Every listed name resolves, and every public name the package imports
+    # (its submodules aside) is listed.
+    assert len(set(msflow.__all__)) == len(msflow.__all__)
+    for name in msflow.__all__:
+        assert hasattr(msflow, name), name
+    public = {
+        name for name, value in vars(msflow).items()
+        if not name.startswith("_") and not isinstance(value, type(msflow))
+    }
+    assert public == set(msflow.__all__) - {"__version__"}
 
 
 def test_every_sink_below_the_new_source():

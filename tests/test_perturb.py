@@ -29,7 +29,7 @@ from msflow import (
     verify_franks_claims,
 )
 from msflow import ParseError
-from msflow.perturb import validate_choice
+from msflow.perturb import _replace_orbit, validate_choice
 
 from conftest import load_fixture, random_valid_system, soup_systems, structure
 
@@ -83,14 +83,75 @@ def test_choice_must_cover_every_neighbour(fig3):
 
 
 def test_choice_respects_dimension_rule(fig3):
-    # q sits at index 1; a q -> saddle connection would need u+s = 1+1 >= 3
+    # q sits at index 1; a q -> saddle connection would need u+s = 1+1 >= 3.
+    # validate_choice leaves the flow rules to validate, which apply_choice
+    # runs on the system it builds.
     d = ChoiceDescriptor(
         orbit="gamma", p_name="p", q_name="q",
         p_out={"q0": 1, "q1": 1, "q2": 1, "s": 2}, q_out={"s": 2},
     )
+    validate_choice(fig3, d)
     with pytest.raises(ChoiceError) as exc:
-        validate_choice(fig3, d)
+        apply_choice(fig3, d)
     assert exc.value.constraint == "dimension-rule"
+    assert str(exc.value) == "dimension-rule: c(q,s)=2 requires u+s >= 3, got u(q)=1, s(s)=1"
+
+
+def reference_dimension_rule(s, d) -> bool:
+    """Whether a new connection of d breaks u + s >= n + 1: the loop
+    validate_choice once ran by hand, kept here as the reference."""
+    n = s.dimension
+    k = s.element(d.orbit).index
+    u_dims = {d.p_name: k + 1, d.q_name: k}
+    for tag, counts in (("p_out", d.p_out_counts()), ("q_out", d.q_out_counts())):
+        new_src = d.p_name if tag == "p_out" else d.q_name
+        for target in counts:
+            if u_dims[new_src] + s.element(target).stable_dim(n) < n + 1:
+                return True
+    for tag, counts in (("p_in", d.p_in_counts()), ("q_in", d.q_in_counts())):
+        new_dst = d.p_name if tag == "p_in" else d.q_name
+        for source in counts:
+            if s.element(source).unstable_dim() + n - u_dims[new_dst] < n + 1:
+                return True
+    return False
+
+
+@st.composite
+def neighbour_choices(draw):
+    """A random valid 2D or 3D system with an orbit, and a descriptor that
+    hands each of the orbit's neighbours to p, q or both, with any counts."""
+    s = random_valid_system(random.Random(draw(st.integers(0, 2**32))))
+    assume(s.orbits())
+    orbit = draw(st.sampled_from(s.orbits())).name
+    maps = {"p_out": {}, "q_out": {}, "p_in": {}, "q_in": {}}
+    for names, p_map, q_map in (
+        (s.connections.outgoing(orbit), maps["p_out"], maps["q_out"]),
+        (s.connections.incoming(orbit), maps["p_in"], maps["q_in"]),
+    ):
+        for name in names:
+            for target in draw(st.sampled_from([(p_map,), (q_map,), (p_map, q_map)])):
+                target[name] = draw(st.integers(1, 3))
+    return s, ChoiceDescriptor(orbit=orbit, p_name="p_new", q_name="q_new", **maps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(neighbour_choices())
+def test_apply_choice_refuses_exactly_what_the_dimension_rule_refuses(case):
+    s, d = case
+    refused = reference_dimension_rule(s, d)
+    try:
+        result = apply_choice(s, d)
+    except ChoiceError as err:
+        assert refused and err.constraint == "dimension-rule", d.summary()
+        # An attractor or repeller rule broken by a new connection is always
+        # broken with the dimension rule on that same connection, which
+        # validate reports first.
+        violations = validate(_replace_orbit(s, d))
+        assert violations[0].rule == "dimension-rule"
+        assert {v.rule for v in violations} <= {"dimension-rule", "attractor-rule", "repeller-rule"}
+    else:
+        assert not refused, d.summary()
+        assert validate(result.system) == []
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +449,8 @@ def test_resolve_all_needs_descriptors_outside_dimension_two(fig6):
     with pytest.raises(ValueError) as refused:
         resolve_all_detailed(fig6)
     assert str(refused.value) == (
-        "automatic choice enumeration is unsupported in dimension 3; supply an explicit descriptor per orbit"
+        "automatic choice enumeration is unsupported in dimension 3; "
+        "apply one explicit choice per orbit with apply_choice or msflow perturb --choice"
     )
 
 
@@ -405,6 +467,15 @@ def test_apply_choice_with_an_explicit_descriptor_in_three_dimensions(fig6):
     assert not system.orbits()
     assert validate(system) == []
     assert system.connections.count("p_g", "q_g") == 2
+
+
+def test_apply_choice_refuses_an_invalid_input_outside_dimension_two(fig6):
+    # No claims run in 3D, so the input must be checked by apply_choice itself.
+    bad = replace(fig6, connections=ConnectionMap({**dict(fig6.connections.items()), ("q0", "r1"): 1}))
+    assert len(validate(bad)) == 3
+    with pytest.raises(InvalidSystemError) as refused:
+        apply_choice(bad, FIG6_CHOICE)
+    assert str(refused.value) == str(InvalidSystemError(validate(bad)))
 
 
 def test_claims_are_not_computed_outside_dimension_two(fig6):
