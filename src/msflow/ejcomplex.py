@@ -13,10 +13,11 @@ and ``betti`` refuses to compute homology while any exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .flowdata import FlowSystem, Violation, validate
-from .gf2 import MatrixGF2, multiply, rank
+from .gf2 import MatrixGF2, add, multiply, rank
 
 PLAIN = "plain"
 MINUS = "minus"
@@ -69,6 +70,11 @@ class ChainComplexGF2:
         rows = len(self.basis(k - 1))
         return MatrixGF2.zeros(rows, cols)
 
+    @cached_property
+    def squares(self) -> tuple[MatrixGF2, ...]:
+        """The composed boundaries d_{k-1} . d_k, k = 2..top_degree, multiplied out once."""
+        return tuple(multiply(self.boundary(k - 1), self.boundary(k)) for k in range(2, self.top_degree + 1))
+
 
 @dataclass(frozen=True)
 class D2Violation:
@@ -104,11 +110,14 @@ def build_complex(s: FlowSystem) -> ChainComplexGF2:
 
     Basis order in each degree: rest points first, then lower orbit copies,
     then upper orbit copies, each group in declaration order — so matrices
-    are reproducible byte for byte.
+    are reproducible byte for byte.  A system is immutable, so its complex
+    is built on first use and kept on it, as its violations are.
     """
     violations = validate(s)
     if violations:
         raise InvalidSystemError(violations)
+    if "_complex" in vars(s):
+        return vars(s)["_complex"]
 
     n = s.dimension
     groups: list[tuple[list, list, list]] = [([], [], []) for _ in range(n + 1)]  # rest points, lower, upper copies
@@ -134,18 +143,17 @@ def build_complex(s: FlowSystem) -> ChainComplexGF2:
                     if j == k - 1:
                         ones[k].append((row, col))
     boundaries = [MatrixGF2.from_ones(len(bases[k - 1]) if k else 0, len(bases[k]), ones[k]) for k in range(n + 1)]
-
-    return ChainComplexGF2(top_degree=n, bases=tuple(bases), boundaries=tuple(boundaries))
+    vars(s)["_complex"] = cx = ChainComplexGF2(top_degree=n, bases=tuple(bases), boundaries=tuple(boundaries))
+    return cx
 
 
 def check_d2(c: ChainComplexGF2) -> list[D2Violation]:
     """All witnesses that the composed boundary is nonzero, in degree order."""
-    violations: list[D2Violation] = []
-    for k in range(2, c.top_degree + 1):
-        product = multiply(c.boundary(k - 1), c.boundary(k))
-        for i, j in product.nonzero_entries():
-            violations.append(D2Violation(degree=k, source=c.basis(k)[j], target=c.basis(k - 2)[i]))
-    return violations
+    return [
+        D2Violation(degree=k, source=c.basis(k)[j], target=c.basis(k - 2)[i])
+        for k, product in enumerate(c.squares, start=2)
+        for i, j in product.nonzero_entries()
+    ]
 
 
 def betti(c: ChainComplexGF2) -> list[int]:
@@ -220,13 +228,12 @@ def diff_cells(
 ) -> list[DiffCell]:
     """Entries where ``left`` differs from ``right``, in row-major order.  Each
     matrix is indexed by its (row basis, column basis) axes, and
-    ``correspondence`` maps the left axes bijectively onto the right ones."""
+    ``correspondence`` maps the left axes bijectively onto the right ones:
+    ``right`` is permuted onto the left axes and the two summed."""
     rows, cols = left_axes
-    row_of = {correspondence[x]: i for i, x in enumerate(rows)}
-    col_of = {correspondence[x]: j for j, x in enumerate(cols)}
-    ones_left = set(left.nonzero_entries())
-    ones_right = {(row_of[right_axes[0][i]], col_of[right_axes[1][j]]) for i, j in right.nonzero_entries()}
+    row_at, col_at = ({x: i for i, x in enumerate(axis)} for axis in right_axes)
+    aligned = right.permuted([row_at[correspondence[x]] for x in rows], [col_at[correspondence[x]] for x in cols])
     return [
-        DiffCell(degree=degree, row=rows[i], col=cols[j], left=int((i, j) in ones_left), right=int((i, j) in ones_right))
-        for i, j in sorted(ones_left ^ ones_right)
+        DiffCell(degree=degree, row=rows[i], col=cols[j], left=left[i, j], right=aligned[i, j])
+        for i, j in add(left, aligned).nonzero_entries()
     ]

@@ -18,11 +18,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-DIGITS_RE = re.compile(r"[0-9]+")
 
 REST = "rest"
 ORBIT = "orbit"
@@ -82,8 +81,9 @@ class CriticalElement:
 class ConnectionMap:
     """Sparse map (source name, target name) -> positive integer count.
 
-    Absent pairs mean count 0.  Self-pairs are unrepresentable: attempting to
-    store one raises.  Instances are immutable and hashable.
+    Absent pairs mean count 0.  The map refuses a self-pair and a count that
+    is not a positive int; parse and validate check that the names are
+    declared.  Kept in (source, target) order; immutable and hashable.
     """
 
     __slots__ = ("_counts",)
@@ -95,7 +95,10 @@ class ConnectionMap:
                 raise ValueError(f"self-connection {src} -> {dst} is not representable")
             if type(c) is not int or c < 1:
                 raise ValueError(f"connection {src} -> {dst}: count must be a positive integer, got {c!r}")
-        self._counts = dict(sorted(items.items()))
+        # Sorting by target, then stably by source, beats one sort of the (pair, count) items on unsorted input.
+        pairs = sorted(items, key=itemgetter(1))
+        pairs.sort(key=itemgetter(0))
+        self._counts = {pair: items[pair] for pair in pairs}
 
     def count(self, src: str, dst: str) -> int:
         return self._counts.get((src, dst), 0)
@@ -192,17 +195,23 @@ class FlowSystem:
 # Text formats: the line reader .msf, .msc and .pos share, and .msf itself
 
 
-def directive_lines(text: str | bytes) -> Iterator[tuple[int, str, list[str], str]]:
-    """(line number, directive, argument tokens, text after the directive)
-    for each line of a .msf, .msc or .pos text that is not blank once its
-    ``#`` comment is cut.  Tokens are separated by any run of whitespace."""
+def directive_lines(text: str | bytes) -> Iterator[tuple[int, list[str], str]]:
+    """(line number, tokens, raw line) for each line of a .msf, .msc or .pos
+    text that holds a token before its ``#`` comment; the first token is the
+    directive.  Tokens are separated by any run of whitespace.  This is the
+    one reader of the three formats, and it checks nothing: each parser
+    checks its own directives and arguments."""
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens = line.split()
-            yield lineno, tokens[0], tokens[1:], line[len(tokens[0]) :].lstrip()
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens, raw
+
+
+def _rest(raw: str) -> str:
+    """The text after a raw line's directive, without its comment and edge whitespace."""
+    return (raw.split("#", 1)[0].split(None, 1) + [""])[1].rstrip()
 
 
 def parse(text: str | bytes) -> FlowSystem:
@@ -210,7 +219,10 @@ def parse(text: str | bytes) -> FlowSystem:
 
     Only syntax and referential integrity are checked here; semantic rules
     (index ranges, dimension rule, ...) are the validator's job, so malformed
-    systems can be loaded for diagnosis.
+    systems can be loaded for diagnosis.  ``read_int`` checks each number,
+    ``CriticalElement`` the spelling of each name, and parse the directives,
+    argument counts, references and duplicates; ConnectionMap repeats only
+    its cheap self-pair and count checks.
     """
     dimension: int | None = None
     label: str | None = None
@@ -219,57 +231,55 @@ def parse(text: str | bytes) -> FlowSystem:
     names: set[str] = set()
     counts: dict[tuple[str, str], int] = {}
 
-    for lineno, directive, args, rest in directive_lines(text):
-        if directive != "dim" and dimension is None:
+    for lineno, tokens, raw in directive_lines(text):
+        directive = tokens[0]
+        if directive == "conn" and dimension is not None:  # two thirds of a grid file's lines
+            if len(tokens) != 4:
+                raise ParseError(lineno, f"conn needs <source> <target> <count>, got {_rest(raw)!r}")
+            _, src, dst, count = tokens
+            count = read_int(lineno, count, minimum=1)
+            if src not in names or dst not in names:
+                raise ParseError(lineno, f"unknown element {src if src not in names else dst!r}")
+            if src == dst:
+                raise ParseError(lineno, f"self-connection {src} -> {dst} is not allowed")
+            if (src, dst) in counts:
+                raise ParseError(lineno, f"duplicate conn line for {src} -> {dst}")
+            counts[src, dst] = count
+        elif dimension is None and directive != "dim":
             raise ParseError(lineno, "the dim directive must come first")
-
-        if directive == "dim":
+        elif directive == "dim":
             if dimension is not None:
                 raise ParseError(lineno, "duplicate dim directive")
-            if len(args) != 1:
+            if len(tokens) != 2:
                 raise ParseError(lineno, "dim needs 1 argument(s)")
-            dimension = read_int(lineno, args[0])
+            dimension = read_int(lineno, tokens[1])
             if dimension < 1:
                 raise ParseError(lineno, f"dimension must be >= 1, got {dimension}")
         elif directive == "label":
             if label is not None:
                 raise ParseError(lineno, "duplicate label directive")
-            if not rest:
+            label = _rest(raw)
+            if not label:
                 raise ParseError(lineno, "label needs text")
-            label = rest
         elif directive == "expect-betti":
             if expected is not None:
                 raise ParseError(lineno, "duplicate expect-betti directive")
-            if len(args) != dimension + 1:
-                raise ParseError(lineno, f"expect-betti needs {dimension + 1} counts for dim {dimension}, got {len(args)}")
-            expected = tuple(read_int(lineno, a) for a in args)
-        elif directive == "rest":
-            if len(args) != 2:
-                raise ParseError(lineno, f"rest needs <name> <index>, got {rest!r}")
-            name, index = args[0], read_int(lineno, args[1])
-            _check_name(lineno, name, names)
-            elements.append(CriticalElement(name, REST, index))
+            if len(tokens) != dimension + 2:
+                raise ParseError(lineno, f"expect-betti needs {dimension + 1} counts for dim {dimension}, got {len(tokens) - 1}")
+            expected = tuple(read_int(lineno, a) for a in tokens[1:])
+        elif directive == REST or directive == ORBIT:
+            orbit = directive == ORBIT
+            if len(tokens) != 3 + orbit or orbit and tokens[3] not in ("twisted", "untwisted"):
+                usage = "<name> <index> <twisted|untwisted>" if orbit else "<name> <index>"
+                raise ParseError(lineno, f"{directive} needs {usage}, got {_rest(raw)!r}")
+            name, index = tokens[1], read_int(lineno, tokens[2])
+            try:  # the kind, index and flag are read already, so only the name can be refused
+                elements.append(CriticalElement(name, directive, index, tokens[3] == "twisted" if orbit else None))
+            except ValueError:
+                raise ParseError(lineno, f"invalid name {name!r}") from None
+            if name in names:
+                raise ParseError(lineno, f"duplicate element name {name!r}")
             names.add(name)
-        elif directive == "orbit":
-            if len(args) != 3 or args[2] not in ("twisted", "untwisted"):
-                raise ParseError(lineno, f"orbit needs <name> <index> <twisted|untwisted>, got {rest!r}")
-            name, index = args[0], read_int(lineno, args[1])
-            _check_name(lineno, name, names)
-            elements.append(CriticalElement(name, ORBIT, index, twisted=args[2] == "twisted"))
-            names.add(name)
-        elif directive == "conn":
-            if len(args) != 3:
-                raise ParseError(lineno, f"conn needs <source> <target> <count>, got {rest!r}")
-            src, dst = args[0], args[1]
-            count = read_int(lineno, args[2], minimum=1)
-            for endpoint in (src, dst):
-                if endpoint not in names:
-                    raise ParseError(lineno, f"unknown element {endpoint!r}")
-            if src == dst:
-                raise ParseError(lineno, f"self-connection {src} -> {dst} is not allowed")
-            if (src, dst) in counts:
-                raise ParseError(lineno, f"duplicate conn line for {src} -> {dst}")
-            counts[(src, dst)] = count
         else:
             raise ParseError(lineno, f"unknown directive {directive!r}")
 
@@ -285,17 +295,10 @@ def parse(text: str | bytes) -> FlowSystem:
     )
 
 
-def _check_name(lineno: int, name: str, seen: set[str]) -> None:
-    if not NAME_RE.match(name):
-        raise ParseError(lineno, f"invalid name {name!r}")
-    if name in seen:
-        raise ParseError(lineno, f"duplicate element name {name!r}")
-
-
 def read_int(lineno: int, token: str, minimum: int = 0) -> int:
     """The integer spelled by ``token``, which must be ASCII digits only, so
     that every accepted file serializes back to the same text."""
-    if not DIGITS_RE.fullmatch(token):
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(lineno, f"expected an integer (digits 0-9), got {token!r}")
     try:
         value = int(token)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import index, xor
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class MatrixGF2:
@@ -78,6 +78,13 @@ class MatrixGF2:
         i, j = key
         return self._rows[i] >> range(self._cols)[j] & 1
 
+    def permuted(self, rows: Sequence[int], cols: Sequence[int]) -> "MatrixGF2":
+        """The matrix whose entry (i, j) is this one's (rows[i], cols[j])."""
+        place = [0] * self._cols  # column c of a row moves to bit place[c]
+        for j, c in enumerate(cols):
+            place[c] = 1 << j
+        return MatrixGF2._from_rows([sum(place[c] for c in bits(self._rows[i])) for i in rows], len(cols))
+
     def tolist(self) -> list[list[int]]:
         return [[r >> j & 1 for j in range(self._cols)] for r in self._rows]
 
@@ -117,6 +124,13 @@ def multiply(a: MatrixGF2, b: MatrixGF2) -> MatrixGF2:
         raise ValueError(f"dimension mismatch: cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     product = [reduce(xor, [b._rows[k] for k in bits(r)], 0) for r in a._rows]
     return MatrixGF2._from_rows(product, b.cols)
+
+
+def add(a: MatrixGF2, b: MatrixGF2) -> MatrixGF2:
+    """Matrix sum over GF(2): the entrywise XOR."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: cannot add {a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    return MatrixGF2._from_rows(map(xor, a._rows, b._rows), a.cols)
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:

@@ -168,7 +168,7 @@ def parse_poset(text: str | bytes) -> LabeledPoset:
     """Parse .pos text: 'node <name> <label>' and 'lt <a> <b>' (a below b)."""
     labels: dict[str, int] = {}
     relations: list[tuple[str, str]] = []
-    for lineno, directive, args, _ in directive_lines(text):
+    for lineno, (directive, *args), _ in directive_lines(text):
         if directive == "node":
             if len(args) != 2:
                 raise ParseError(lineno, "node needs <name> <label>")

@@ -106,3 +106,33 @@ def soup_systems(draw):
     pairs = [(a, b) for a in "abcde" for b in "abcde" if a != b]
     counts = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 3), max_size=12))
     return FlowSystem(draw(st.integers(1, 3)), tuple(elements), ConnectionMap(counts))
+
+
+def torus_grid_text(m: int, rng: random.Random, orbit: bool = False) -> str:
+    """.msf text of the gradient flow of the cubical m x m grid of the
+    2-torus (m >= 3): a rest point per cell, indexed by the cell's dimension,
+    and a connection from each cell to each of its faces, with element and
+    conn lines shuffled.  ``orbit`` adds the repelling orbit ``g`` draining
+    to three vertices."""
+    def v(i, j):  # the vertex (i, j)
+        return f"v{i % m}_{j % m}"
+
+    def h(i, j):  # the edge from (i, j) to (i + 1, j)
+        return f"h{i % m}_{j % m}"
+
+    def e(i, j):  # the edge from (i, j) to (i, j + 1)
+        return f"e{i % m}_{j % m}"
+
+    elements, conns = [], []
+    for i in range(m):
+        for j in range(m):
+            face = f"f{i}_{j}"
+            elements += [f"rest {v(i, j)} 0", f"rest {h(i, j)} 1", f"rest {e(i, j)} 1", f"rest {face} 2"]
+            conns += [(h(i, j), v(i, j)), (h(i, j), v(i + 1, j)), (e(i, j), v(i, j)), (e(i, j), v(i, j + 1))]
+            conns += [(face, h(i, j)), (face, h(i, j + 1)), (face, e(i, j)), (face, e(i + 1, j))]
+    if orbit:
+        elements.append("orbit g 1 untwisted")
+        conns += [("g", v(i, j)) for i, j in rng.sample([(i, j) for i in range(m) for j in range(m)], 3)]
+    rng.shuffle(elements)
+    rng.shuffle(conns)
+    return "\n".join(["dim 2", *elements, *(f"conn {a} {b} 1" for a, b in conns)]) + "\n"

@@ -2,6 +2,7 @@
 the d-squared check, Betti numbers, and matrix comparison."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,17 +11,24 @@ from hypothesis import strategies as st
 from msflow import (
     BasisElement,
     D2Error,
+    DiffCell,
     InvalidSystemError,
+    MatrixGF2,
+    apply_choice,
     betti,
     build_complex,
     check_d2,
     compare_matrices,
+    enumerate_choices_2d,
     euler_characteristic,
     parse,
+    serialize,
 )
-from msflow.ejcomplex import MINUS, PLAIN, PLUS
+from msflow import ejcomplex, perturb
+from msflow.ejcomplex import MINUS, PLAIN, PLUS, diff_cells
+from msflow.gf2 import multiply
 
-from conftest import all_msf_fixtures, load_fixture, random_valid_system
+from conftest import all_msf_fixtures, load_fixture, random_valid_system, torus_grid_text
 
 
 def labels(basis):
@@ -113,6 +121,38 @@ def test_build_complex_is_deterministic(fig5):
     a = build_complex(fig5)
     b = build_complex(load_fixture("fig5.msf"))
     assert a == b
+
+
+def counting_complexes(monkeypatch):
+    """A list that gets every chain complex build_complex assembles."""
+    built = []
+    assemble = ejcomplex.ChainComplexGF2
+    monkeypatch.setattr(ejcomplex, "ChainComplexGF2", lambda **parts: built.append(assemble(**parts)) or built[-1])
+    return built
+
+
+def test_claims_build_the_complex_before_the_move_once(monkeypatch, fig3):
+    built = counting_complexes(monkeypatch)
+    choices = enumerate_choices_2d(fig3, "gamma")
+    results = [apply_choice(fig3, choices[i % len(choices)]) for i in range(5)]
+    assert len(built) == 1 + 5  # fig3's, then one for each result
+    assert build_complex(fig3) is built[0]
+    assert [build_complex(r.system) for r in results] == built[1:]
+
+
+def test_a_replaced_system_gets_its_own_complex(monkeypatch, fig5):
+    built = counting_complexes(monkeypatch)
+    cx = build_complex(fig5)
+    relabeled = replace(fig5, label="another label")
+    assert build_complex(relabeled) is not cx
+    assert build_complex(relabeled) == cx
+    assert len(built) == 2
+
+
+def test_kept_squares_are_the_products_of_the_boundaries(fig6):
+    cx = build_complex(fig6)
+    assert cx.squares == tuple(multiply(cx.boundary(k - 1), cx.boundary(k)) for k in (2, 3))
+    assert cx.squares is cx.squares
 
 
 def dense_boundary(system, cx, k) -> list[list[int]]:
@@ -281,3 +321,66 @@ def test_compare_rejects_non_injective_map(fig5):
     corr[BasisElement("s1", PLAIN, 1)] = BasisElement("s2", PLAIN, 1)
     with pytest.raises(ValueError):
         compare_matrices(c, c, corr)
+
+
+# The comparison before it summed permuted row masks, kept as the reference:
+# both matrices' nonzero entries as sets of (row, column) pairs, the right
+# one's mapped onto the left axes.
+def reference_diff_cells(degree, left, right, left_axes, right_axes, correspondence):
+    rows, cols = left_axes
+    row_of = {correspondence[x]: i for i, x in enumerate(rows)}
+    col_of = {correspondence[x]: j for j, x in enumerate(cols)}
+    ones_left = set(left.nonzero_entries())
+    ones_right = {(row_of[right_axes[0][i]], col_of[right_axes[1][j]]) for i, j in right.nonzero_entries()}
+    return [
+        DiffCell(degree=degree, row=rows[i], col=cols[j], left=int((i, j) in ones_left), right=int((i, j) in ones_right))
+        for i, j in sorted(ones_left ^ ones_right)
+    ]
+
+
+@st.composite
+def compared_matrices(draw):
+    """diff_cells arguments: two matrices over axes joined by a random
+    degree-preserving bijection, the right one either random or the left one
+    carried across with a few entries flipped."""
+    n_rows, n_cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    rows = [BasisElement(f"r{i}", PLAIN, 1) for i in range(n_rows)]
+    cols = [BasisElement(f"c{j}", PLAIN, 2) for j in range(n_cols)]
+    right_rows = draw(st.permutations([BasisElement(f"x{i}", PLAIN, 1) for i in range(n_rows)]))
+    right_cols = draw(st.permutations([BasisElement(f"y{j}", PLAIN, 2) for j in range(n_cols)]))
+    correspondence = dict(zip(rows, draw(st.permutations(right_rows)))) | dict(zip(cols, draw(st.permutations(right_cols))))
+
+    def positions(**size):
+        if not (n_rows and n_cols):
+            return set()
+        return draw(st.sets(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)), **size))
+
+    left_ones, right_ones = positions(), positions()
+    if draw(st.booleans()):
+        row_at = {x: i for i, x in enumerate(right_rows)}
+        col_at = {y: j for j, y in enumerate(right_cols)}
+        right_ones = positions(max_size=2) ^ {(row_at[correspondence[rows[i]]], col_at[correspondence[cols[j]]]) for i, j in left_ones}
+    left, right = MatrixGF2.from_ones(n_rows, n_cols, left_ones), MatrixGF2.from_ones(n_rows, n_cols, right_ones)
+    return 2, left, right, (rows, cols), (right_rows, right_cols), correspondence
+
+
+@settings(max_examples=400, deadline=None)
+@given(compared_matrices())
+def test_diff_cells_matches_the_reference(args):
+    assert diff_cells(*args) == reference_diff_cells(*args)
+
+
+def claims_reports(s, orbit):
+    return [apply_choice(s, d).claims_report for d in enumerate_choices_2d(s, orbit)]
+
+
+@pytest.mark.parametrize("text, orbit", [
+    (serialize(load_fixture("fig3.msf")), "gamma"),
+    (torus_grid_text(6, random.Random(3), orbit=True), "g"),
+], ids=["fig3", "torus-6"])
+def test_claims_reports_match_the_reference_comparison(monkeypatch, text, orbit):
+    reports = claims_reports(parse(text), orbit)
+    assert len(reports) == 6  # three sinks downstream of each orbit
+    monkeypatch.setattr(ejcomplex, "diff_cells", reference_diff_cells)
+    monkeypatch.setattr(perturb, "diff_cells", reference_diff_cells)
+    assert claims_reports(parse(text), orbit) == reports

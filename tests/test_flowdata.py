@@ -1,6 +1,7 @@
 """Flow-system model: parsing, serialization, validation and reachability."""
 
 import random
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -25,7 +26,7 @@ import msflow
 from msflow import flowdata
 from msflow.flowdata import _find_cycle, closure_masks
 
-from conftest import all_msf_fixtures, load_fixture, random_valid_system, soup_systems
+from conftest import all_msf_fixtures, fixture_path, load_fixture, random_valid_system, soup_systems, torus_grid_text
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +329,11 @@ def token_soup(draw, directives, headers=("",)):
     return draw(st.sampled_from(headers)) + body
 
 
+MSF_SOUP = token_soup(["dim", "label", "expect-betti", "rest", "orbit", "conn", "frob", "#"], ("", "dim 2\n"))
+
+
 @pytest.mark.parametrize("parser, soup", [
-    (parse, token_soup(["dim", "label", "expect-betti", "rest", "orbit", "conn", "frob", "#"], ("", "dim 2\n"))),
+    (parse, MSF_SOUP),
     (parse_choice, token_soup(["orbit", "new", "pout", "qout", "pin", "qin", "frob", "#"])),
     (parse_poset, token_soup(["node", "lt", "frob", "#"])),
 ], ids=["msf", "msc", "pos"])
@@ -343,6 +347,169 @@ def test_parsers_refuse_only_with_parse_errors(parser, soup, data):
         pass
     except ValueError as err:  # a .pos text may declare a cycle
         assert parser is parse_poset and str(err).startswith("not antisymmetric"), err
+
+
+# The parser before each line was read once, kept as the reference: its own
+# line loop cuts the text after the directive from every line, a name is
+# matched here and again by CriticalElement, and a regular expression reads
+# the digits.
+def reference_parse(text):
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode("utf-8")
+    dimension = label = expected = None
+    elements, names, counts = [], set(), {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        directive, *args = line.split()
+        rest = line[len(directive):].lstrip()
+        if directive != "dim" and dimension is None:
+            raise ParseError(lineno, "the dim directive must come first")
+        if directive == "dim":
+            if dimension is not None:
+                raise ParseError(lineno, "duplicate dim directive")
+            if len(args) != 1:
+                raise ParseError(lineno, "dim needs 1 argument(s)")
+            dimension = reference_read_int(lineno, args[0])
+            if dimension < 1:
+                raise ParseError(lineno, f"dimension must be >= 1, got {dimension}")
+        elif directive == "label":
+            if label is not None:
+                raise ParseError(lineno, "duplicate label directive")
+            if not rest:
+                raise ParseError(lineno, "label needs text")
+            label = rest
+        elif directive == "expect-betti":
+            if expected is not None:
+                raise ParseError(lineno, "duplicate expect-betti directive")
+            if len(args) != dimension + 1:
+                raise ParseError(lineno, f"expect-betti needs {dimension + 1} counts for dim {dimension}, got {len(args)}")
+            expected = tuple(reference_read_int(lineno, a) for a in args)
+        elif directive == "rest":
+            if len(args) != 2:
+                raise ParseError(lineno, f"rest needs <name> <index>, got {rest!r}")
+            name, index = args[0], reference_read_int(lineno, args[1])
+            reference_check_name(lineno, name, names)
+            elements.append(CriticalElement(name, "rest", index))
+            names.add(name)
+        elif directive == "orbit":
+            if len(args) != 3 or args[2] not in ("twisted", "untwisted"):
+                raise ParseError(lineno, f"orbit needs <name> <index> <twisted|untwisted>, got {rest!r}")
+            name, index = args[0], reference_read_int(lineno, args[1])
+            reference_check_name(lineno, name, names)
+            elements.append(CriticalElement(name, "orbit", index, twisted=args[2] == "twisted"))
+            names.add(name)
+        elif directive == "conn":
+            if len(args) != 3:
+                raise ParseError(lineno, f"conn needs <source> <target> <count>, got {rest!r}")
+            src, dst = args[0], args[1]
+            count = reference_read_int(lineno, args[2], minimum=1)
+            for endpoint in (src, dst):
+                if endpoint not in names:
+                    raise ParseError(lineno, f"unknown element {endpoint!r}")
+            if src == dst:
+                raise ParseError(lineno, f"self-connection {src} -> {dst} is not allowed")
+            if (src, dst) in counts:
+                raise ParseError(lineno, f"duplicate conn line for {src} -> {dst}")
+            counts[(src, dst)] = count
+        else:
+            raise ParseError(lineno, f"unknown directive {directive!r}")
+    if dimension is None:
+        raise ParseError(1, "missing dim directive")
+    return FlowSystem(dimension, tuple(elements), ConnectionMap(counts), label, expected)
+
+
+def reference_check_name(lineno, name, seen):
+    if not re.match(r"^[A-Za-z][A-Za-z0-9_]*$", name):
+        raise ParseError(lineno, f"invalid name {name!r}")
+    if name in seen:
+        raise ParseError(lineno, f"duplicate element name {name!r}")
+
+
+def reference_read_int(lineno, token, minimum=0):
+    if not re.fullmatch(r"[0-9]+", token):
+        raise ParseError(lineno, f"expected an integer (digits 0-9), got {token!r}")
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(lineno, f"integer of {len(token)} digits is too long") from None
+    if value < minimum:
+        raise ParseError(lineno, f"expected a positive integer, got {value}")
+    return value
+
+
+def parse_outcome(parser, text):
+    """What a parser makes of ``text``: the system with its connections in
+    stored order, or the refusal's line and message."""
+    try:
+        s = parser(text)
+    except ParseError as err:
+        return "refused", err.line, str(err)
+    return "parsed", s, list(s.connections.items())
+
+
+@settings(max_examples=500, deadline=None)
+@given(MSF_SOUP)
+def test_parse_matches_the_reference_on_token_soup(text):
+    assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("name", all_msf_fixtures())
+def test_parse_matches_the_reference_on_fixtures(name):
+    text = fixture_path(name).read_text()
+    assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+    assert parse_outcome(parse, text.encode()) == parse_outcome(reference_parse, text)
+
+
+@st.composite
+def broken_grid_texts(draw):
+    """A torus grid text, respaced, with up to three lines deleted,
+    duplicated or moved, or with one token replaced by a fuzz argument or its
+    last one by an integer that int() reads and parse must refuse."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lines = respaced(torus_grid_text(draw(st.integers(3, 4)), rng, orbit=draw(st.booleans())), rng).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "move", "token", "number"]))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(j, lines[i])
+        elif edit == "move":
+            lines.insert(j, lines.pop(i))
+        else:
+            tokens = lines[i].split()
+            at = len(tokens) - 1 if edit == "number" else draw(st.integers(0, len(tokens) - 1))
+            tokens[at] = draw(st.sampled_from(LAX_INTEGERS) if edit == "number" else FUZZ_ARGUMENTS)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_grid_texts())
+def test_parse_matches_the_reference_on_random_grid_texts(text):
+    assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+
+
+CLOSE_NAMES = ["a", "a_1", "a1", "aB", "A", "ab", "a_", "A_1", "b", "aa"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from(CLOSE_NAMES), st.sampled_from(CLOSE_NAMES)).filter(lambda p: p[0] != p[1]),
+        st.integers(1, 3),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_connection_map_keeps_pairs_in_sorted_order(counts, rng):
+    # Names that share a prefix or differ by case, underscore or digit.
+    items = list(counts.items())
+    rng.shuffle(items)
+    m = ConnectionMap(dict(items))
+    assert list(m.pairs()) == sorted(counts)
+    assert list(m.items()) == sorted(counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +735,7 @@ def test_checking_leaves_fields_equality_hash_and_repr_alone():
     s, t = parse(text), parse(text)
     before = hash(s), repr(s)
     validate(s)
+    build_complex(s).squares  # the complex, and its d.d products, are kept too
     assert s == t and (hash(s), repr(s)) == before == (hash(t), repr(t))
     assert [f.name for f in fields(s)] == ["dimension", "elements", "connections", "label", "expected_betti"]
     assert serialize(s) == text
