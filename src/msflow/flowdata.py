@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")  # \Z, not $: a final newline is no part of a name
 
 REST = "rest"
 ORBIT = "orbit"

@@ -371,13 +371,17 @@ def resolve_all_detailed(s: FlowSystem) -> list[tuple[FlowSystem, tuple[ChoiceDe
     """Every gradient-like resolution of s together with the choices taken.
 
     An invalid s is refused with its violations.  Orbits are resolved in
-    declaration order with the 2D enumeration at each step (re-run on each
-    intermediate system), so the output is the Cartesian product of the
-    per-orbit choice lists.  Each choice is applied unchecked: an enumerated
-    choice for a valid system is admissible and its result valid again (p and
-    q get fresh names and indices in range, every new connection keeps the
-    dimension rule and with it the attractor and repeller rules, and a cycle
-    through p or q would have run through the orbit).
+    declaration order with the 2D enumeration at each step, so the output is
+    the Cartesian product of the per-orbit choice lists.  Each choice is
+    applied unchecked: an enumerated choice for a valid system is admissible
+    and its result valid again (p and q get fresh names and indices in
+    range, every new connection keeps the dimension rule and with it the
+    attractor and repeller rules, and a cycle through p or q would have run
+    through the orbit).  Partial resolutions after equally many steps have
+    the same elements in the same order, since a step puts a pair in the
+    orbit's slot named from the names already there.  So an orbit's choices
+    depend only on its (outgoing, incoming) counts, and are enumerated once
+    for each distinct pair of them.
     """
     orbit_names = [e.name for e in s.elements if e.is_orbit]
     if orbit_names and s.dimension != 2:
@@ -392,11 +396,14 @@ def resolve_all_detailed(s: FlowSystem) -> list[tuple[FlowSystem, tuple[ChoiceDe
     # choices in turn: the same order as a depth-first walk.
     results: list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]] = [(s, ())]
     for orbit in orbit_names:
-        results = [
-            (_replace_orbit(current, d), chosen + (d,))
-            for current, chosen in results
-            for d in enumerate_choices_2d(current, orbit)
-        ]
+        choices: dict[tuple, list[ChoiceDescriptor]] = {}  # (outgoing, incoming) -> the orbit's choices
+        extended = []
+        for current, chosen in results:
+            key = (tuple(current.connections.outgoing(orbit).items()), tuple(current.connections.incoming(orbit).items()))
+            if key not in choices:
+                choices[key] = enumerate_choices_2d(current, orbit)
+            extended += [(_replace_orbit(current, d), chosen + (d,)) for d in choices[key]]
+        results = extended
     return results
 
 

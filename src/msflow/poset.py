@@ -300,7 +300,7 @@ def _profile_certificate(pa: Profile, pb: Profile) -> str | None:
     return None
 
 
-def _search_plan(a: LabeledPoset, sig_a: Mapping[str, tuple]) -> tuple:
+def _search_plan(a: LabeledPoset, sig_a: Mapping) -> tuple:
     """The part of the search that depends on side a alone: a's nodes in
     search order, most constrained first (fewest nodes of equal signature,
     then by name); their signatures; how many nodes carry each signature;
@@ -317,14 +317,15 @@ def _search_plan(a: LabeledPoset, sig_a: Mapping[str, tuple]) -> tuple:
 
 
 def _search_isomorphism(
-    a: LabeledPoset, b: LabeledPoset, sig_a: Mapping[str, tuple], sig_b: Mapping[str, tuple], plan: tuple = ()
+    a: LabeledPoset, b: LabeledPoset, sig_a: Mapping, sig_b: Mapping, plan: tuple = (), order: Sequence[int] = ()
 ) -> dict[str, str] | None:
     """Backtracking search for a label-preserving order isomorphism that maps
     each node onto one of equal signature; ``sig_a``/``sig_b`` are the
-    nodes' signatures (see _signatures) and ``plan`` is
-    ``_search_plan(a, sig_a)``, built here unless given.  Posets whose
-    signature multisets differ have no such map.  The stack is explicit, so
-    long chains need no recursion.
+    nodes' signatures (see _signatures), or ids both sides share for them,
+    and ``plan`` is ``_search_plan(a, sig_a)``, built here unless given.
+    Posets whose signature multisets differ have no such map.  ``order`` is
+    b's node indices in name order; a caller that gives it vouches that the
+    multisets agree.  The stack is explicit, so long chains need no recursion.
 
     Forward checking (Haralick & Elliott, 1980): each depth keeps a domain,
     the mask of b's nodes still open to it.  Assigning x -> y narrows every
@@ -332,12 +333,11 @@ def _search_isomorphism(
     is skipped if a domain empties, and as only subtrees without a solution
     are cut, the witness is the one plain backtracking in this order finds."""
     nodes, sigs, count, stands = plan or _search_plan(a, sig_a)
-    if dict(Counter(sig_b.values())) != count:
+    if not order and dict(Counter(sig_b.values())) != count:
         return None
     names, index = b.nodes, b._indices()
-    groups: dict[tuple, list[int]] = {}  # signature -> b's nodes with it, in name order
-    masks: dict[tuple, int] = {}
-    for j in sorted(range(len(b)), key=names.__getitem__):
+    groups, masks = {}, {}  # signature -> b's nodes with it in name order, and their mask
+    for j in order or sorted(range(len(b)), key=names.__getitem__):
         sig = sig_b[names[j]]
         groups.setdefault(sig, []).append(j)
         masks[sig] = masks.get(sig, 0) | 1 << j
@@ -480,30 +480,32 @@ def census(s: FlowSystem) -> CensusReport:
 
     An invalid input is refused by resolve_all_detailed, and every
     resolution of a valid system is valid, so their face posets are built
-    unchecked.  Each face poset's node signatures are computed once.
-    Isomorphic posets have equal signature multisets, so a new poset is
-    searched against only the classes that share its sorted signatures, its
-    key, each from a search plan built on that class's first search."""
+    unchecked.  Each face poset's node signatures are computed once and
+    interned as ints local to this call.  Isomorphic posets have equal
+    signature multisets, so a new poset is searched against only the classes
+    that share its sorted ids, its key, each from a search plan built on
+    that class's first search.  All resolutions share their node names, in
+    one order (see resolve_all_detailed), so the names are sorted once."""
     resolutions = resolve_all_detailed(s)
     classes: list[dict] = []
-    by_key: dict[tuple, list[dict]] = {}
+    by_key: dict[tuple[int, ...], list[dict]] = {}
+    intern: dict[tuple, int] = {}
+    order = []
     for system, choices in resolutions:
         poset = _build_face_poset(system)
-        signatures = _signatures(poset)
-        bucket = by_key.setdefault(tuple(sorted(signatures.values())), [])
+        ids = {x: intern.setdefault(sig, len(intern)) for x, sig in _signatures(poset).items()}
+        order = order or sorted(range(len(poset)), key=poset.nodes.__getitem__)
+        bucket = by_key.setdefault(tuple(sorted(ids.values())), [])
         for cls in bucket:
-            cls["plan"] = cls["plan"] or _search_plan(cls["poset"], cls["signatures"])
-            if _search_isomorphism(cls["poset"], poset, cls["signatures"], signatures, cls["plan"]) is not None:
+            cls["plan"] = cls["plan"] or _search_plan(cls["poset"], cls["ids"])
+            if _search_isomorphism(cls["poset"], poset, cls["ids"], ids, cls["plan"], order) is not None:
                 cls["members"].append(choices)
                 break
         else:
-            cls = {"representative": system, "poset": poset, "signatures": signatures, "plan": (), "members": [choices]}
+            cls = {"representative": system, "poset": poset, "ids": ids, "plan": (), "members": [choices]}
             bucket.append(cls)
             classes.append(cls)
     return CensusReport(
         total=len(resolutions),
-        classes=tuple(
-            CensusClass(representative=c["representative"], poset=c["poset"], members=tuple(c["members"]))
-            for c in classes
-        ),
+        classes=tuple(CensusClass(c["representative"], c["poset"], tuple(c["members"])) for c in classes),
     )

@@ -108,6 +108,59 @@ def soup_systems(draw):
     return FlowSystem(draw(st.integers(1, 3)), tuple(elements), ConnectionMap(counts))
 
 
+@st.composite
+def systems_with_orbits(draw, feeding: bool = False):
+    """Valid 2D systems with 1-3 closed orbits, each with at least one
+    admissible choice.  Elements are declared in order of falling unstable
+    dimension (sources and repelling orbits, saddles and attracting orbits,
+    sinks) and connections run only down that order where the dimension
+    rule allows them.
+
+    With ``feeding``, 2-3 orbits, and the first repelling orbit drains into
+    the first attracting orbit and a sink: its choices land the new saddle's
+    separatrices on the orbit twice, once or not at all, so the attracting
+    orbit's upstream counts differ between partial resolutions."""
+    if feeding:
+        orbits = ["orbit 1", "orbit 0"] + draw(st.lists(st.sampled_from(["orbit 1", "orbit 0"]), max_size=1))
+    else:
+        orbits = draw(st.lists(st.sampled_from(["orbit 1", "orbit 0"]), min_size=1, max_size=3))
+    kinds = (
+        ["rest 2"] * draw(st.integers(1 if "orbit 0" in orbits else 0, 2))
+        + ["rest 1"] * draw(st.integers(0, 2))
+        + ["rest 0"] * draw(st.integers(1, 3))
+        + orbits
+    )
+    unstable = {"rest 2": 2, "orbit 1": 2, "rest 1": 1, "orbit 0": 1, "rest 0": 0}
+    kinds.sort(key=lambda k: -unstable[k])
+    names = [f"e{i}" for i in range(len(kinds))]
+    of_kind = lambda *ks: [n for n, k in zip(names, kinds) if k in ks]  # noqa: E731
+    targets = {n: set() for n in names}
+    for a in of_kind("rest 2", "orbit 1", "rest 1"):
+        allowed = of_kind("orbit 0", "rest 0") + (of_kind("rest 1") if unstable[kinds[names.index(a)]] == 2 else [])
+        targets[a] = {b for b in allowed if draw(st.booleans())}
+    # Every orbit needs something to reconnect to: a repelling orbit one or
+    # two index-0 elements downstream, an attracting one a source or
+    # repelling orbit upstream.
+    for a in of_kind("orbit 1"):
+        targets[a].update(draw(st.lists(st.sampled_from(of_kind("orbit 0", "rest 0")), min_size=1, max_size=2)))
+    for b in of_kind("orbit 0"):
+        targets[draw(st.sampled_from(of_kind("rest 2", "orbit 1")))].add(b)
+    if feeding:
+        targets[of_kind("orbit 1")[0]].update([of_kind("orbit 0")[0], of_kind("rest 0")[0]])
+    lines = ["dim 2"]
+    lines += [f"{k.split()[0]} {n} {k.split()[1]}" + (" untwisted" if k.startswith("orbit") else "") for n, k in zip(names, kinds)]
+    lines += [f"conn {a} {b} {draw(st.integers(1, 2))}" for a in names for b in sorted(targets[a])]
+    return parse("\n".join(lines) + "\n")
+
+
+def orbits_over_sinks(k: int, m: int, d: int):
+    """k repelling orbits over m sinks, orbit i joined to sinks i..i+d-1
+    (mod m)."""
+    lines = ["dim 2"] + [f"rest q{j} 0" for j in range(m)] + [f"orbit g{i} 1 untwisted" for i in range(k)]
+    lines += [f"conn g{i} q{(i + j) % m} 1" for i in range(k) for j in range(d)]
+    return parse("\n".join(lines) + "\n")
+
+
 def torus_grid_text(m: int, rng: random.Random, orbit: bool = False) -> str:
     """.msf text of the gradient flow of the cubical m x m grid of the
     2-torus (m >= 3): a rest point per cell, indexed by the cell's dimension,

@@ -258,6 +258,24 @@ def test_every_accepted_label_survives_a_round_trip(label):
     assert parse(serialize(s)) == s
 
 
+@pytest.mark.parametrize("name", ["a\n", "a\r\n", "a\nb", "\na", "a ", "a#", "2a", "_a", ""])
+def test_names_that_would_not_read_back_are_refused(name):
+    # A trailing newline used to pass (a '$' matches before it); the element
+    # was then written as 'rest a\n 0', which parse refuses on line 2.
+    with pytest.raises(ValueError, match=r"^invalid element name"):
+        CriticalElement(name, "rest", 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab_1\n\r\t #", max_size=5))
+def test_every_accepted_name_survives_a_round_trip(name):
+    try:
+        s = FlowSystem(dimension=2, elements=(CriticalElement(name, "rest", 0),))
+    except ValueError:
+        return
+    assert parse(serialize(s)) == s
+
+
 # Values a numeric field might be handed: ints in and out of range, and the
 # bools, floats, strings and None that would serialize to text parse refuses.
 NUMBERS = st.one_of(st.integers(-1, 4), st.booleans(), st.sampled_from([0.0, 1.0, 1.5, "1", None]))

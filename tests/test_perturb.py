@@ -29,9 +29,10 @@ from msflow import (
     verify_franks_claims,
 )
 from msflow import ParseError
+from msflow import perturb as perturb_module
 from msflow.perturb import _replace_orbit, validate_choice
 
-from conftest import load_fixture, random_valid_system, soup_systems, structure
+from conftest import load_fixture, orbits_over_sinks, random_valid_system, soup_systems, structure, systems_with_orbits
 
 
 def fig3_choices(fig3):
@@ -394,6 +395,68 @@ def test_every_resolution_of_a_random_valid_system_validates_clean(seed):
         for d in choices:
             checked = apply_choice(checked, d).system
         assert system == checked
+
+
+def reference_resolutions(s):
+    """Each orbit's choices enumerated afresh on every partial resolution."""
+    results = [(s, ())]
+    for orbit in [e.name for e in s.elements if e.is_orbit]:
+        results = [
+            (_replace_orbit(current, d), chosen + (d,))
+            for current, chosen in results
+            for d in enumerate_choices_2d(current, orbit)
+        ]
+    return results
+
+
+def distinct_neighbourhoods(s) -> int:
+    """Summed over the orbits, how many distinct (outgoing, incoming) counts
+    each orbit has across the partial resolutions that reach it."""
+    total, partials = 0, [s]
+    for orbit in [e.name for e in s.elements if e.is_orbit]:
+        cms = [c.connections for c in partials]
+        total += len({(frozenset(cm.outgoing(orbit).items()), frozenset(cm.incoming(orbit).items())) for cm in cms})
+        partials = [_replace_orbit(c, d) for c in partials for d in enumerate_choices_2d(c, orbit)]
+    return total
+
+
+def counting_enumeration(monkeypatch) -> list:
+    """Patch enumerate_choices_2d where resolve_all_detailed calls it; the
+    returned list gets one entry per call."""
+    calls, original = [], perturb_module.enumerate_choices_2d
+
+    def counted(s, orbit):
+        calls.append(orbit)
+        return original(s, orbit)
+
+    monkeypatch.setattr(perturb_module, "enumerate_choices_2d", counted)
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_with_orbits(feeding=True))
+def test_shared_enumeration_matches_the_per_partial_one(s):
+    # A repelling orbit feeds an attracting one, so the attracting orbit's
+    # upstream counts, and with them its choices, differ between partial
+    # resolutions; choices are enumerated once per distinct neighbourhood.
+    assume(len(reference_resolutions(s)) <= 200)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = counting_enumeration(monkeypatch)
+        got = resolve_all_detailed(s)
+    assert got == reference_resolutions(s)
+    assert len(calls) == distinct_neighbourhoods(s) > len(s.orbits())
+
+
+def test_family_enumerates_each_orbit_once(monkeypatch):
+    # Three repelling orbits over six sinks, each over three of them: no
+    # orbit's neighbourhood changes as the others are resolved, so three
+    # enumerations serve all 216 resolutions (1 + 6 + 36 = 43, one per
+    # partial resolution, before they were shared).
+    s = orbits_over_sinks(3, 6, 3)
+    calls = counting_enumeration(monkeypatch)
+    got = resolve_all_detailed(s)
+    assert calls == ["g0", "g1", "g2"]
+    assert len(got) == 216 and got == reference_resolutions(s)
 
 
 REST_CYCLE = "dim 2\norbit g 1 untwisted\nrest s1 1\nrest s2 1\nrest q0 0\nconn g q0 1\nconn s1 s2 1\nconn s2 s1 1\nconn s1 q0 2\n"

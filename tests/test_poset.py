@@ -29,7 +29,7 @@ from msflow import perturb as perturb_module
 from msflow import poset as poset_module
 from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT, _search_isomorphism, _signatures
 
-from conftest import fixture_path, load_fixture, shuffled
+from conftest import fixture_path, load_fixture, orbits_over_sinks, shuffled, systems_with_orbits
 
 
 def load_pos(name):
@@ -411,6 +411,21 @@ def test_search_returns_the_recursive_searchs_witness(p, rng, rename):
     assert verdict.mapping == (tuple(sorted(expected.items())) if expected is not None else None)
 
 
+@settings(max_examples=200, deadline=None)
+@given(labeled_posets(max_nodes=9), st.randoms(use_true_random=False))
+def test_search_on_interned_ids_with_a_given_order_returns_the_same_witness(p, rng):
+    # Census hands the search one-to-one int ids for the signatures and b's
+    # name order, and skips the multiset check its bucket key makes; the
+    # witness must be the one the plain call finds.
+    other = shuffled(p, dict(zip(p.nodes, rng.sample(string.ascii_lowercase, len(p)))), rng.sample(list(p.nodes), len(p)))
+    intern = {}
+    ids_a, ids_b = ({x: intern.setdefault(sig, len(intern)) for x, sig in _signatures(q).items()} for q in (p, other))
+    order = sorted(range(len(other)), key=other.nodes.__getitem__)
+    expected = _search_isomorphism(p, other, _signatures(p), _signatures(other))
+    assert expected is not None
+    assert _search_isomorphism(p, other, ids_a, ids_b, (), order) == expected
+
+
 def cycles(lengths, prefix: str) -> LabeledPoset:
     """Disjoint cycles as vertices (label 0) under edges (label 1): every
     node has the same signature as every other of its label, so only the
@@ -540,41 +555,6 @@ def reference_census(s):
     return [(serialize(system), tuple(members)) for system, _, members in classes]
 
 
-@st.composite
-def systems_with_orbits(draw):
-    """Valid 2D systems with 1-3 closed orbits, each with at least one
-    admissible choice.  Elements are declared in order of falling unstable
-    dimension (sources and repelling orbits, saddles and attracting orbits,
-    sinks) and connections run only down that order where the dimension
-    rule allows them."""
-    orbits = draw(st.lists(st.sampled_from(["orbit 1", "orbit 0"]), min_size=1, max_size=3))
-    kinds = (
-        ["rest 2"] * draw(st.integers(1 if "orbit 0" in orbits else 0, 2))
-        + ["rest 1"] * draw(st.integers(0, 2))
-        + ["rest 0"] * draw(st.integers(1, 3))
-        + orbits
-    )
-    unstable = {"rest 2": 2, "orbit 1": 2, "rest 1": 1, "orbit 0": 1, "rest 0": 0}
-    kinds.sort(key=lambda k: -unstable[k])
-    names = [f"e{i}" for i in range(len(kinds))]
-    of_kind = lambda *ks: [n for n, k in zip(names, kinds) if k in ks]  # noqa: E731
-    targets = {n: set() for n in names}
-    for a in of_kind("rest 2", "orbit 1", "rest 1"):
-        allowed = of_kind("orbit 0", "rest 0") + (of_kind("rest 1") if unstable[kinds[names.index(a)]] == 2 else [])
-        targets[a] = {b for b in allowed if draw(st.booleans())}
-    # Every orbit needs something to reconnect to: a repelling orbit one or
-    # two index-0 elements downstream, an attracting one a source or
-    # repelling orbit upstream.
-    for a in of_kind("orbit 1"):
-        targets[a].update(draw(st.lists(st.sampled_from(of_kind("orbit 0", "rest 0")), min_size=1, max_size=2)))
-    for b in of_kind("orbit 0"):
-        targets[draw(st.sampled_from(of_kind("rest 2", "orbit 1")))].add(b)
-    lines = ["dim 2"]
-    lines += [f"{k.split()[0]} {n} {k.split()[1]}" + (" untwisted" if k.startswith("orbit") else "") for n, k in zip(names, kinds)]
-    lines += [f"conn {a} {b} {draw(st.integers(1, 2))}" for a in names for b in sorted(targets[a])]
-    return parse("\n".join(lines) + "\n")
-
-
 @settings(max_examples=60, deadline=None)
 @given(systems_with_orbits(), st.randoms(use_true_random=False))
 def test_census_matches_pairwise_grouping(s, rng):
@@ -585,14 +565,6 @@ def test_census_matches_pairwise_grouping(s, rng):
         got = [(serialize(cls.representative), cls.members) for cls in report.classes]
         assert got == reference_census(system)
         assert report.total == sum(len(members) for _, members in got)
-
-
-def orbits_over_sinks(k: int, m: int, d: int):
-    """k repelling orbits over m sinks, orbit i joined to sinks i..i+d-1
-    (mod m)."""
-    lines = ["dim 2"] + [f"rest q{j} 0" for j in range(m)] + [f"orbit g{i} 1 untwisted" for i in range(k)]
-    lines += [f"conn g{i} q{(i + j) % m} 1" for i in range(k) for j in range(d)]
-    return parse("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("k, m, d", [(3, 4, 2), (2, 5, 3)])
@@ -622,6 +594,17 @@ def test_census_does_not_depend_on_element_order_or_names(s, rng):
         connections=ConnectionMap({(fresh[a], fresh[b]): c for (a, b), c in s.connections.items()}),
     )
     assert census_shape(census(renamed)) == census_shape(census(s))
+
+
+def test_census_keeps_nothing_between_calls(fig3, fig4):
+    # The signature ids and the name order belong to one call: census of a
+    # (10-node resolutions), then b (9 nodes), then a again, and so on, each
+    # reports as the pairwise grouping does on its own.
+    inputs = {"a": orbits_over_sinks(3, 4, 2), "b": orbits_over_sinks(2, 5, 3), "fig3": fig3, "fig4": fig4}
+    fresh = {name: reference_census(s) for name, s in inputs.items()}
+    for name in ["a", "b", "a", "fig4", "b", "fig3", "a"]:
+        report = census(inputs[name])
+        assert [(serialize(cls.representative), cls.members) for cls in report.classes] == fresh[name], name
 
 
 def test_census_validates_its_input_once_however_many_resolutions(monkeypatch):
