@@ -42,7 +42,7 @@ def resolve_input(path_str: str) -> Path:
 
 def load_system(path_str: str) -> tuple[FlowSystem, str]:
     path = resolve_input(path_str)
-    system = flowdata.parse(path.read_text())
+    system = flowdata.parse(path.read_bytes())
     return system, system.label or path.stem
 
 
@@ -51,8 +51,8 @@ def load_poset(path_str: str) -> tuple[poset.LabeledPoset, str, FlowSystem | Non
     Returns (poset, display name, the flow system or None for a .pos file)."""
     path = resolve_input(path_str)
     if path.suffix == ".pos":
-        return poset.parse_poset(path.read_text()), path.stem, None
-    system = flowdata.parse(path.read_text())
+        return poset.parse_poset(path.read_bytes()), path.stem, None
+    system = flowdata.parse(path.read_bytes())
     if system.orbits():
         names = ", ".join(e.name for e in system.orbits())
         raise ValueError(f"{path.name} contains closed orbits ({names}); run 'msflow perturb' first")
@@ -143,6 +143,26 @@ def claims_text(report: perturb.ClaimsReport | None) -> str:
     return f"claims ({report.case}): {bits}"
 
 
+def witnesses(violations: list[ejcomplex.D2Violation]) -> tuple[list[dict], str]:
+    """The d2 witnesses as JSON and as text lines."""
+    payload = [{"degree": v.degree, "source": v.source.label, "target": v.target.label} for v in violations]
+    return payload, "\n".join(str(v) for v in violations)
+
+
+def resolution_payload(d: perturb.ChoiceDescriptor, result: perturb.PerturbationResult) -> dict:
+    return {
+        "descriptor": descriptor_payload(d),
+        "attaching_degree": result.attaching_degree,
+        "claims": claims_payload(result.claims_report),
+    }
+
+
+def write_resolution(out_path: Path, text: str, d: perturb.ChoiceDescriptor, result: perturb.PerturbationResult) -> str:
+    """Write the resolved system's .msf ``text`` and say what was written."""
+    out_path.write_text(text, encoding="utf-8")
+    return f"wrote {out_path}  [{d.summary()}]  {claims_text(result.claims_report)}"
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -176,15 +196,10 @@ def cmd_d2(args) -> int:
     system, name = load_system(args.file)
     cx = ejcomplex.build_complex(system)
     violations = ejcomplex.check_d2(cx)
-    payload = {
-        "command": "d2",
-        "input": name,
-        "violations": [
-            {"degree": v.degree, "source": v.source.label, "target": v.target.label} for v in violations
-        ],
-    }
+    found, listing = witnesses(violations)
+    payload = {"command": "d2", "input": name, "violations": found}
     if violations:
-        text = f"d2 check of {name}: {len(violations)} violation(s)\n" + "\n".join(str(v) for v in violations)
+        text = f"d2 check of {name}: {len(violations)} violation(s)\n" + listing
     else:
         text = f"d2 check of {name}: boundary composition is zero in every degree"
     emit(args, payload, text)
@@ -197,18 +212,9 @@ def cmd_homology(args) -> int:
     try:
         numbers = ejcomplex.betti(cx)
     except D2Error as err:
-        payload = {
-            "command": "homology",
-            "input": name,
-            "refused": True,
-            "violations": [
-                {"degree": v.degree, "source": v.source.label, "target": v.target.label} for v in err.violations
-            ],
-        }
-        text = f"homology of {name}: refused, differential does not square to zero\n" + "\n".join(
-            str(v) for v in err.violations
-        )
-        emit(args, payload, text)
+        found, listing = witnesses(err.violations)
+        payload = {"command": "homology", "input": name, "refused": True, "violations": found}
+        emit(args, payload, f"homology of {name}: refused, differential does not square to zero\n" + listing)
         return 2
     expected = list(system.expected_betti) if system.expected_betti is not None else None
     matches = expected == numbers if expected is not None else None
@@ -293,37 +299,21 @@ def cmd_perturb(args) -> int:
         for i, d in enumerate(choices, start=1):
             result = perturb.apply_choice(system, d)
             out_path = out_dir / f"{stem}-{args.orbit}-{i:02d}.msf"
-            out_path.write_text(flowdata.serialize(result.system))
-            entries.append(
-                {
-                    "file": str(out_path),
-                    "descriptor": descriptor_payload(d),
-                    "attaching_degree": result.attaching_degree,
-                    "claims": claims_payload(result.claims_report),
-                }
-            )
-            lines.append(f"wrote {out_path}  [{d.summary()}]  {claims_text(result.claims_report)}")
+            lines.append(write_resolution(out_path, flowdata.serialize(result.system), d, result))
+            entries.append({"file": str(out_path), **resolution_payload(d, result)})
         emit(args, {"command": "perturb", "input": name, "orbit": args.orbit, "results": entries}, "\n".join(lines))
         return 0
 
-    descriptor = perturb.parse_choice(resolve_input(args.choice).read_text())
+    descriptor = perturb.parse_choice(resolve_input(args.choice).read_bytes())
     if descriptor.orbit != args.orbit:
         raise ValueError(f"--orbit {args.orbit} does not match the choice's orbit {descriptor.orbit}")
     result = perturb.apply_choice(system, descriptor)
     serialized = flowdata.serialize(result.system)
-    payload = {
-        "command": "perturb",
-        "input": name,
-        "descriptor": descriptor_payload(descriptor),
-        "attaching_degree": result.attaching_degree,
-        "claims": claims_payload(result.claims_report),
-        "system": serialized,
-    }
+    payload = {"command": "perturb", "input": name, **resolution_payload(descriptor, result), "system": serialized}
     if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(serialized)
-        text = f"wrote {out_path}  [{descriptor.summary()}]  {claims_text(result.claims_report)}"
+        text = write_resolution(out_path, serialized, descriptor, result)
     else:
         text = serialized
     emit(args, payload, text)

@@ -311,7 +311,8 @@ def read_int(lineno: int, token: str, minimum: int = 0) -> int:
 
 def serialize(s: FlowSystem) -> str:
     """Deterministic .msf text: declaration order for elements, conn lines
-    sorted by (source, target).  parse(serialize(s)) is structurally s."""
+    in (source, target) order, as ConnectionMap keeps them.
+    parse(serialize(s)) is structurally s."""
     lines = [f"dim {s.dimension}"]
     if s.label is not None:
         lines.append(f"label {s.label}")
@@ -322,7 +323,7 @@ def serialize(s: FlowSystem) -> str:
             lines.append(f"rest {e.name} {e.index}")
         else:
             lines.append(f"orbit {e.name} {e.index} {'twisted' if e.twisted else 'untwisted'}")
-    for (src, dst), c in sorted(s.connections.items()):
+    for (src, dst), c in s.connections.items():
         lines.append(f"conn {src} {dst} {c}")
     return "\n".join(lines) + "\n"
 

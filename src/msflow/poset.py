@@ -25,8 +25,9 @@ class LabeledPoset:
 
     Construct from node labels and a list of (a, b) relations meaning a <= b;
     the reflexive-transitive closure is computed and antisymmetry enforced.
-    Node i's label is ``_labels[i]`` and its down-set and up-set are the int
-    masks ``_down[i]`` and ``_up[i]`` over node indices (bit j is node j).
+    Node i is named ``_nodes[i]``, ``_index`` maps names back to indices,
+    its label is ``_labels[i]`` and its down-set and up-set are the int masks
+    ``_down[i]`` and ``_up[i]`` over node indices (bit j is node j).
     """
 
     __slots__ = ("_nodes", "_labels", "_index", "_down", "_up")
@@ -39,8 +40,7 @@ class LabeledPoset:
         label_map = dict(labels)
         self._nodes = tuple(label_map)
         self._labels = tuple(label_map.values())
-        self._index = None
-        index = {name: i for i, name in enumerate(self._nodes)}
+        self._index = index = {name: i for i, name in enumerate(self._nodes)}
 
         children: list[list[int]] = [[] for _ in self._nodes]
         for a, b in relations:
@@ -65,19 +65,11 @@ class LabeledPoset:
     def __contains__(self, name: str) -> bool:
         return name in self._nodes
 
-    def _indices(self) -> dict[str, int]:
-        """Node name -> index, built on first use, since census and most
-        searches read nodes by index only."""
-        if self._index is None:
-            self._index = {x: i for i, x in enumerate(self._nodes)}
-        return self._index
-
     def _at(self, name: str) -> int:
         """The index of node ``name``."""
-        index = self._indices()
-        if name not in index:
+        if name not in self._index:
             raise ValueError(f"unknown node {name!r}")
-        return index[name]
+        return self._index[name]
 
     def label(self, name: str) -> int:
         return self._labels[self._at(name)]
@@ -209,35 +201,35 @@ class Profile:
     downset_sizes: tuple[tuple[int, tuple[int, ...]], ...]
     incidence: tuple[tuple[int, int, tuple[int, ...]], ...]
     signatures: tuple[tuple, ...]
-    # Node -> signature, handed on to the search when two profiles agree.
-    _by_node: Mapping[str, tuple] = field(default_factory=dict, compare=False, repr=False)
+    # Node i's signature, handed on to the search when two profiles agree.
+    _by_node: Sequence[tuple] = field(default=(), compare=False, repr=False)
 
 
-def _signatures(p: LabeledPoset) -> dict[str, tuple]:
-    """Node -> (label, label counts of its down-set, label counts of its
-    up-set); both sets include the node itself."""
+def _signatures(p: LabeledPoset) -> list[tuple]:
+    """Each node's (label, label counts of its down-set, label counts of its
+    up-set), by node index; both sets include the node itself."""
     label_mask: dict[int, int] = {}
     for i, l in enumerate(p._labels):
         label_mask[l] = label_mask.get(l, 0) | 1 << i
     by_label = sorted(label_mask.items())
-    signatures = {}
-    for x, l, down, up in zip(p.nodes, p._labels, p._down, p._up):
+    signatures = []
+    for l, down, up in zip(p._labels, p._down, p._up):
         below, above = [], []
         for k, nodes in by_label:
             if c := (down & nodes).bit_count():
                 below.append((k, c))
             if c := (up & nodes).bit_count():
                 above.append((k, c))
-        signatures[x] = (l, tuple(below), tuple(above))
+        signatures.append((l, tuple(below), tuple(above)))
     return signatures
 
 
-def _profile(signatures: Mapping[str, tuple]) -> Profile:
+def _profile(signatures: Sequence[tuple]) -> Profile:
     """The profile read off the signatures: a down-set's size is the sum of
     its label counts, and the incidence of x with label ``high`` is x's
     up-set count at ``high``."""
     by_label: dict[int, list[tuple]] = {}
-    for sig in signatures.values():
+    for sig in signatures:
         by_label.setdefault(sig[0], []).append(sig)
     labels = sorted(by_label)
     return Profile(
@@ -251,7 +243,7 @@ def _profile(signatures: Mapping[str, tuple]) -> Profile:
             for high in labels
             if low < high
         ),
-        signatures=tuple(sorted(signatures.values())),
+        signatures=tuple(sorted(signatures)),
         _by_node=signatures,
     )
 
@@ -300,54 +292,51 @@ def _profile_certificate(pa: Profile, pb: Profile) -> str | None:
     return None
 
 
-def _search_plan(a: LabeledPoset, sig_a: Mapping) -> tuple:
-    """The part of the search that depends on side a alone: a's nodes in
-    search order, most constrained first (fewest nodes of equal signature,
-    then by name); their signatures; how many nodes carry each signature;
-    and, per depth, how each deeper node stands to that depth's node, as
-    bytes of 0 (below it), 1 (above it) or 2 (apart)."""
-    count = dict(Counter(sig_a.values()))
-    order = sorted(range(len(a)), key=lambda i: (count[sig_a[a.nodes[i]]], a.nodes[i]))
+def _search_plan(a: LabeledPoset, sig_a: Sequence) -> tuple:
+    """The part of the search that depends on side a alone: a's node indices
+    in search order, most constrained first (fewest nodes of equal
+    signature, then by name); their signatures; and, per depth, how each
+    deeper node stands to that depth's node, as bytes of 0 (below it),
+    1 (above it) or 2 (apart)."""
+    count = Counter(sig_a)
+    order = sorted(range(len(a)), key=lambda i: (count[sig_a[i]], a._nodes[i]))
     stands = [
         bytes([0 if a._down[i] >> k & 1 else 1 if a._up[i] >> k & 1 else 2 for k in order[depth + 1 :]])
         for depth, i in enumerate(order)
     ]
-    nodes = [a.nodes[i] for i in order]
-    return nodes, [sig_a[x] for x in nodes], count, stands
+    return order, [sig_a[i] for i in order], stands
 
 
 def _search_isomorphism(
-    a: LabeledPoset, b: LabeledPoset, sig_a: Mapping, sig_b: Mapping, plan: tuple = (), order: Sequence[int] = ()
+    a: LabeledPoset, b: LabeledPoset, plan: tuple, sig_b: Sequence, order: Sequence[int]
 ) -> dict[str, str] | None:
     """Backtracking search for a label-preserving order isomorphism that maps
-    each node onto one of equal signature; ``sig_a``/``sig_b`` are the
-    nodes' signatures (see _signatures), or ids both sides share for them,
-    and ``plan`` is ``_search_plan(a, sig_a)``, built here unless given.
-    Posets whose signature multisets differ have no such map.  ``order`` is
-    b's node indices in name order; a caller that gives it vouches that the
-    multisets agree.  The stack is explicit, so long chains need no recursion.
+    each node onto one of equal signature.  ``plan`` is
+    ``_search_plan(a, sig_a)``; ``sig_a``/``sig_b`` list the nodes'
+    signatures by index (see _signatures), or ids both sides share for
+    them; ``order`` is b's node indices in name order.  The caller vouches
+    that the two signature multisets agree: is_isomorphic searches only
+    when the profiles do, census only within a key.  The stack is explicit,
+    so long chains need no recursion.
 
     Forward checking (Haralick & Elliott, 1980): each depth keeps a domain,
     the mask of b's nodes still open to it.  Assigning x -> y narrows every
     deeper domain to the nodes that stand to y as that node stands to x, y
     is skipped if a domain empties, and as only subtrees without a solution
     are cut, the witness is the one plain backtracking in this order finds."""
-    nodes, sigs, count, stands = plan or _search_plan(a, sig_a)
-    if not order and dict(Counter(sig_b.values())) != count:
-        return None
-    names, index = b.nodes, b._indices()
+    nodes, sigs, stands = plan
     groups, masks = {}, {}  # signature -> b's nodes with it in name order, and their mask
-    for j in order or sorted(range(len(b)), key=names.__getitem__):
-        sig = sig_b[names[j]]
+    for j in order:
+        sig = sig_b[j]
         groups.setdefault(sig, []).append(j)
         masks[sig] = masks.get(sig, 0) | 1 << j
 
     # Among candidates (in name order) try the same name first so
     # self-comparisons return the identity.
     options = []
-    for x, sig in zip(nodes, sigs):
+    for i, sig in zip(nodes, sigs):
         group = groups[sig]
-        if (j := index.get(x)) is not None and masks[sig] >> j & 1:
+        if (j := b._index.get(a._nodes[i])) is not None and masks[sig] >> j & 1:
             at = group.index(j)
             group = [j] + group[:at] + group[at + 1 :]
         options.append(group)
@@ -387,7 +376,7 @@ def _search_isomorphism(
         else:
             next_option[depth] = i + 1
             depth += 1
-    return None if depth < 0 else {x: names[opts[k - 1]] for x, opts, k in zip(nodes, options, next_option)}
+    return None if depth < 0 else {a._nodes[i]: b._nodes[opts[k - 1]] for i, opts, k in zip(nodes, options, next_option)}
 
 
 def is_isomorphic(a: LabeledPoset, b: LabeledPoset) -> IsoVerdict:
@@ -401,7 +390,8 @@ def is_isomorphic(a: LabeledPoset, b: LabeledPoset) -> IsoVerdict:
     certificate = _profile_certificate(pa, pb)
     if certificate is not None:
         return IsoVerdict(isomorphic=False, certificate=certificate)
-    mapping = _search_isomorphism(a, b, pa._by_node, pb._by_node)
+    plan = _search_plan(a, pa._by_node)
+    mapping = _search_isomorphism(a, b, plan, pb._by_node, sorted(range(len(b)), key=b._nodes.__getitem__))
     if mapping is None:
         return IsoVerdict(
             isomorphic=False,
@@ -458,8 +448,6 @@ def cell_equivalence_verdict(a: FlowSystem, b: FlowSystem) -> Verdict:
 
 @dataclass(frozen=True)
 class CensusClass:
-    representative: FlowSystem
-    poset: LabeledPoset
     members: tuple[tuple[ChoiceDescriptor, ...], ...]
 
     @property
@@ -487,25 +475,22 @@ def census(s: FlowSystem) -> CensusReport:
     that class's first search.  All resolutions share their node names, in
     one order (see resolve_all_detailed), so the names are sorted once."""
     resolutions = resolve_all_detailed(s)
-    classes: list[dict] = []
-    by_key: dict[tuple[int, ...], list[dict]] = {}
+    classes: list[list] = []  # each class's members
+    by_key: dict[tuple[int, ...], list[list]] = {}  # key -> [first poset, its ids, its plan, members] per class
     intern: dict[tuple, int] = {}
     order = []
     for system, choices in resolutions:
         poset = _build_face_poset(system)
-        ids = {x: intern.setdefault(sig, len(intern)) for x, sig in _signatures(poset).items()}
+        ids = [intern.setdefault(sig, len(intern)) for sig in _signatures(poset)]
         order = order or sorted(range(len(poset)), key=poset.nodes.__getitem__)
-        bucket = by_key.setdefault(tuple(sorted(ids.values())), [])
+        bucket = by_key.setdefault(tuple(sorted(ids)), [])
         for cls in bucket:
-            cls["plan"] = cls["plan"] or _search_plan(cls["poset"], cls["ids"])
-            if _search_isomorphism(cls["poset"], poset, cls["ids"], ids, cls["plan"], order) is not None:
-                cls["members"].append(choices)
+            first, first_ids, plan, members = cls
+            cls[2] = plan = plan or _search_plan(first, first_ids)
+            if _search_isomorphism(first, poset, plan, ids, order) is not None:
+                members.append(choices)
                 break
         else:
-            cls = {"representative": system, "poset": poset, "ids": ids, "plan": (), "members": [choices]}
-            bucket.append(cls)
-            classes.append(cls)
-    return CensusReport(
-        total=len(resolutions),
-        classes=tuple(CensusClass(c["representative"], c["poset"], tuple(c["members"])) for c in classes),
-    )
+            bucket.append([poset, ids, (), [choices]])
+            classes.append(bucket[-1][3])
+    return CensusReport(total=len(resolutions), classes=tuple(CensusClass(tuple(members)) for members in classes))

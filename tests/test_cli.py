@@ -421,6 +421,40 @@ def test_cyclic_pos_error_does_not_depend_on_the_hash_seed(tmp_path):
     }
 
 
+# The C locale's preferred encoding is ASCII; EncodingWarning turned into an
+# error catches any file opened in the locale's encoding, even where the
+# bytes would have decoded.
+C_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": "utf-8"}
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    system = tmp_path / "cafe.msf"
+    system.write_bytes(fixture_path("fig3.msf").read_bytes().replace(b"label fig3", "label café sphere".encode()))
+    choice = tmp_path / "choice.msc"
+    choice.write_text(
+        "orbit gamma\nnew p_gamma q_gamma\npout q0 1\npout q1 1\npout q2 1\npout s 2\nqout q0 1\nqout q1 1\n",
+        encoding="utf-8",
+    )
+    commands = [
+        (["validate", str(system)], "validate café sphere: OK"),
+        (["perturb", str(system), "--orbit", "gamma", "--all", "--out", str(tmp_path / "all")], "perturb café sphere,"),
+        (["perturb", str(system), "--orbit", "gamma", "--choice", str(choice), "--out", str(tmp_path / "one.msf")], "wrote"),
+        (["compare", str(tmp_path / "one.msf"), str(tmp_path / "all" / "cafe-gamma-01.msf")], "compare café sphere vs café sphere"),
+        (["census", str(system)], "census of café sphere: 6 resolution(s)"),
+    ]
+    for argv, first in commands:
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "msflow", *argv],
+            capture_output=True, env={**os.environ, **C_LOCALE},
+        )
+        assert (result.returncode, result.stderr.decode("utf-8")) == (0, ""), argv
+        assert result.stdout.decode("utf-8").startswith(first), argv
+    written = sorted((tmp_path / "all").iterdir()) + [tmp_path / "one.msf"]
+    assert len(written) == 7
+    for path in written:
+        assert path.read_bytes().startswith("dim 2\nlabel café sphere\n".encode()), path.name
+
+
 # ---------------------------------------------------------------------------
 # JSON parity with library results
 

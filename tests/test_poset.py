@@ -5,6 +5,7 @@ census of orbit resolutions."""
 import random
 import string
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -22,12 +23,11 @@ from msflow import (
     parse,
     parse_poset,
     resolve_all_detailed,
-    serialize,
 )
 from msflow import ConnectionMap, ParseError
 from msflow import perturb as perturb_module
 from msflow import poset as poset_module
-from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT, _search_isomorphism, _signatures
+from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT, _search_isomorphism, _search_plan, _signatures
 
 from conftest import fixture_path, load_fixture, orbits_over_sinks, shuffled, systems_with_orbits
 
@@ -251,7 +251,7 @@ def reference_profile(p: LabeledPoset):
 def test_profile_matches_the_definition(p):
     profile = invariant_profile(p)
     assert (profile.label_counts, profile.downset_sizes, profile.incidence, profile.signatures) == reference_profile(p)
-    assert _signatures(p) == {x: reference_signature(p, x) for x in p.nodes}
+    assert _signatures(p) == [reference_signature(p, x) for x in p.nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +361,51 @@ def test_random_posets_match_their_shuffles():
         assert check_mapping(p, copy, verdict.mapping_dict())
 
 
+def search(a: LabeledPoset, b: LabeledPoset, sig_a=None, sig_b=None):
+    """_search_isomorphism called as is_isomorphic calls it: only when the
+    signature multisets agree, from a's plan, with b's indices in name
+    order.  ``sig_a``/``sig_b`` stand in for the signatures, as census's
+    interned ids do."""
+    if sig_a is None:
+        sig_a, sig_b = _signatures(a), _signatures(b)
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+    return _search_isomorphism(a, b, _search_plan(a, sig_a), sig_b, sorted(range(len(b)), key=b.nodes.__getitem__))
+
+
+@contextmanager
+def searches_checked():
+    """Every _search_isomorphism call, from is_isomorphic or census, first
+    asserts that a's and b's signature multisets agree, on the signatures
+    and on what the caller hands over; yields each call's verdict."""
+    found = []
+    original = poset_module._search_isomorphism
+
+    def checked(a, b, plan, sig_b, order):
+        assert sorted(_signatures(a)) == sorted(_signatures(b))
+        assert sorted(plan[1]) == sorted(sig_b) and len(plan[0]) == len(order) == len(b)
+        mapping = original(a, b, plan, sig_b, order)
+        found.append(mapping is not None)
+        return mapping
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poset_module, "_search_isomorphism", checked)
+        yield found
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_posets(max_nodes=8), labeled_posets(max_nodes=8), st.randoms(use_true_random=False), st.booleans())
+def test_is_isomorphic_searches_only_equal_signature_multisets(p, q, rng, copy):
+    # A renamed shuffled copy has p's signatures; another drawn poset mostly
+    # does not.  The search runs exactly when the multisets agree.
+    if copy:
+        q = shuffled(p, dict(zip(p.nodes, rng.sample(string.ascii_lowercase, len(p)))), rng.sample(list(p.nodes), len(p)))
+    with searches_checked() as found:
+        verdict = is_isomorphic(p, q)
+    assert len(found) == (sorted(_signatures(p)) == sorted(_signatures(q)))
+    assert found[-1:] == ([verdict.isomorphic] if found else [])
+
+
 def reference_search(a: LabeledPoset, b: LabeledPoset):
     """Recursive backtracking: most-constrained node first, same-named
     candidate first, the rest by name."""
@@ -406,7 +451,7 @@ def test_search_returns_the_recursive_searchs_witness(p, rng, rename):
             relations.append((x, y))
         other = LabeledPoset(p.labels(), relations)
     expected = reference_search(p, other)
-    assert _search_isomorphism(p, other, _signatures(p), _signatures(other)) == expected
+    assert search(p, other) == expected
     verdict = is_isomorphic(p, other)
     assert verdict.mapping == (tuple(sorted(expected.items())) if expected is not None else None)
 
@@ -414,16 +459,14 @@ def test_search_returns_the_recursive_searchs_witness(p, rng, rename):
 @settings(max_examples=200, deadline=None)
 @given(labeled_posets(max_nodes=9), st.randoms(use_true_random=False))
 def test_search_on_interned_ids_with_a_given_order_returns_the_same_witness(p, rng):
-    # Census hands the search one-to-one int ids for the signatures and b's
-    # name order, and skips the multiset check its bucket key makes; the
-    # witness must be the one the plain call finds.
+    # Census hands the search one-to-one int ids for the signatures; the
+    # witness must be the one the search on the signatures finds.
     other = shuffled(p, dict(zip(p.nodes, rng.sample(string.ascii_lowercase, len(p)))), rng.sample(list(p.nodes), len(p)))
     intern = {}
-    ids_a, ids_b = ({x: intern.setdefault(sig, len(intern)) for x, sig in _signatures(q).items()} for q in (p, other))
-    order = sorted(range(len(other)), key=other.nodes.__getitem__)
-    expected = _search_isomorphism(p, other, _signatures(p), _signatures(other))
+    ids_a, ids_b = ([intern.setdefault(sig, len(intern)) for sig in _signatures(q)] for q in (p, other))
+    expected = search(p, other)
     assert expected is not None
-    assert _search_isomorphism(p, other, ids_a, ids_b, (), order) == expected
+    assert search(p, other, ids_a, ids_b) == expected
 
 
 def cycles(lengths, prefix: str) -> LabeledPoset:
@@ -448,7 +491,7 @@ def test_search_on_cycles_returns_the_recursive_searchs_witness(lengths, other):
     a, b = cycles(lengths, "a"), cycles(other, "b")
     expected = reference_search(a, b)
     assert (expected is not None) == (sorted(lengths) == sorted(other))
-    assert _search_isomorphism(a, b, _signatures(a), _signatures(b)) == expected
+    assert search(a, b) == expected
 
 
 def test_long_chain_matches_its_renamed_copy():
@@ -527,8 +570,8 @@ def test_census_classes_match_fixture_verdicts(fig4):
     x1 = load_fixture("fig4-X1.msf")
     x3 = load_fixture("fig4-X3.msf")
     assert not cell_equivalence_verdict(x1, x3).possibly_equivalent
-    report = census(fig4)
-    reps = [cls.representative for cls in report.classes]
+    report, systems = census(fig4), representatives(fig4)
+    reps = [systems[cls.members[0]] for cls in report.classes]
     iso_to_x1 = [r for r in reps if is_isomorphic(face_poset(r), face_poset(x1)).isomorphic]
     iso_to_x3 = [r for r in reps if is_isomorphic(face_poset(r), face_poset(x3)).isomorphic]
     assert len(iso_to_x1) == 1 and len(iso_to_x3) == 1
@@ -541,18 +584,25 @@ def test_census_of_gradient_input_is_one_class():
     assert report.classes[0].members == ((),)
 
 
+def representatives(s):
+    """Each resolution's system, keyed by its choices: a class's first
+    member names the system that represents it."""
+    return {choices: system for system, choices in resolve_all_detailed(s)}
+
+
 def reference_census(s):
-    """Each resolution against every class so far, first match wins."""
+    """Each resolution against every class so far, first match wins: each
+    class's members."""
     classes = []
     for system, choices in resolve_all_detailed(s):
         poset = face_poset(system)
         for cls in classes:
-            if is_isomorphic(cls[1], poset).isomorphic:
-                cls[2].append(choices)
+            if is_isomorphic(cls[0], poset).isomorphic:
+                cls[1].append(choices)
                 break
         else:
-            classes.append((system, poset, [choices]))
-    return [(serialize(system), tuple(members)) for system, _, members in classes]
+            classes.append((poset, [choices]))
+    return [tuple(members) for _, members in classes]
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,9 +612,9 @@ def test_census_matches_pairwise_grouping(s, rng):
     reordered = replace(s, elements=tuple(rng.sample(list(s.elements), len(s.elements))))
     for system in (s, reordered):
         report = census(system)
-        got = [(serialize(cls.representative), cls.members) for cls in report.classes]
+        got = [cls.members for cls in report.classes]
         assert got == reference_census(system)
-        assert report.total == sum(len(members) for _, members in got)
+        assert report.total == sum(len(members) for members in got)
 
 
 @pytest.mark.parametrize("k, m, d", [(3, 4, 2), (2, 5, 3)])
@@ -573,9 +623,19 @@ def test_census_matches_pairwise_grouping_where_keys_hold_several_classes(k, m, 
     # inside a key is what separates them.
     s = orbits_over_sinks(k, m, d)
     report = census(s)
-    keys = [tuple(sorted(_signatures(cls.poset).values())) for cls in report.classes]
+    systems = representatives(s)
+    keys = [tuple(sorted(_signatures(face_poset(systems[cls.members[0]])))) for cls in report.classes]
     assert len(set(keys)) < len(keys)
-    assert [(serialize(cls.representative), cls.members) for cls in report.classes] == reference_census(s)
+    assert [cls.members for cls in report.classes] == reference_census(s)
+
+
+@pytest.mark.parametrize("k, m, d", [(3, 4, 2), (2, 5, 3)])
+def test_census_searches_only_equal_signature_multisets(k, m, d):
+    # One key holds several classes here, so some searches inside a key fail.
+    with searches_checked() as found:
+        report = census(orbits_over_sinks(k, m, d))
+    assert False in found
+    assert found.count(True) == report.total - len(report.classes)
 
 
 def census_shape(report):
@@ -604,7 +664,7 @@ def test_census_keeps_nothing_between_calls(fig3, fig4):
     fresh = {name: reference_census(s) for name, s in inputs.items()}
     for name in ["a", "b", "a", "fig4", "b", "fig3", "a"]:
         report = census(inputs[name])
-        assert [(serialize(cls.representative), cls.members) for cls in report.classes] == fresh[name], name
+        assert [cls.members for cls in report.classes] == fresh[name], name
 
 
 def test_census_validates_its_input_once_however_many_resolutions(monkeypatch):
@@ -672,7 +732,7 @@ def test_masks_match_the_frozenset_definitions(inputs, rng):
         (a, b) for b in labels for a in down[b] - {b} if not any(a in down[c] for c in down[b] - {a, b})
     )
     counts = lambda nodes: tuple(sorted(Counter(labels[z] for z in nodes).items()))  # noqa: E731
-    assert _signatures(p) == {x: (labels[x], counts(down[x]), counts(up[x])) for x in labels}
+    assert _signatures(p) == [(labels[x], counts(down[x]), counts(up[x])) for x in labels]
 
     # Equality and hash ignore declaration and relation order; one more
     # relation changes equality exactly when it changes some down-set.
@@ -774,14 +834,16 @@ def test_search_on_grid_face_posets_returns_the_recursive_searchs_witness(seed):
     for a, b, isomorphic in ((torus, copy, True), (klein, torus, False)):
         expected = reference_search(a, b)
         assert (expected is not None) == isomorphic
-        assert _search_isomorphism(a, b, _signatures(a), _signatures(b)) == expected
+        assert search(a, b) == expected
 
 
 @pytest.mark.parametrize("lengths, other", [([4, 4], [5, 3]), ([10], [5, 5])])
 def test_unions_of_cycles_are_told_apart_quickly(lengths, other):
     # Every node has the signature of every other node of its label, so only
     # the search can decide; it used to try every pairing of the cycles.
-    verdict = is_isomorphic(cycles(lengths, "a"), cycles(other, "b"))
+    with searches_checked() as found:
+        verdict = is_isomorphic(cycles(lengths, "a"), cycles(other, "b"))
+    assert found == [False]
     assert not verdict.isomorphic
     assert verdict.certificate == "invariant profiles agree but no label-preserving order isomorphism exists"
 
