@@ -15,8 +15,10 @@ correspondence, and the outer matrices differ in that one line only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
+from typing import Iterator
 
 from .ejcomplex import (
     BasisElement,
@@ -257,10 +259,7 @@ def enumerate_choices_2d(s: FlowSystem, orbit_name: str) -> list[ChoiceDescripto
             raise ValueError(f"repelling orbit {orbit_name} has upstream connections; system is invalid")
         landing = [e.name for e in s.elements if e.name in down and e.index == 0]
         for pair in combinations_with_replacement(landing, 2):
-            q_out = {pair[0]: 2} if pair[0] == pair[1] else {pair[0]: 1, pair[1]: 1}
-            choices.append(
-                ChoiceDescriptor(orbit=orbit_name, p_name=p_name, q_name=q_name, p_out=down, q_out=q_out)
-            )
+            choices.append(ChoiceDescriptor(orbit_name, p_name, q_name, p_out=down, q_out=Counter(pair)))
     else:  # attracting orbit
         if down:
             raise ValueError(f"attracting orbit {orbit_name} has downstream connections; system is invalid")
@@ -270,10 +269,7 @@ def enumerate_choices_2d(s: FlowSystem, orbit_name: str) -> list[ChoiceDescripto
             if e.name in up and ((e.is_rest and e.index == s.dimension) or (e.is_orbit and e.index == s.dimension - 1))
         ]
         for pair in combinations_with_replacement(feeders, 2):
-            p_in = {pair[0]: 2} if pair[0] == pair[1] else {pair[0]: 1, pair[1]: 1}
-            choices.append(
-                ChoiceDescriptor(orbit=orbit_name, p_name=p_name, q_name=q_name, q_in=up, p_in=p_in)
-            )
+            choices.append(ChoiceDescriptor(orbit_name, p_name, q_name, q_in=up, p_in=Counter(pair)))
     return choices
 
 
@@ -368,21 +364,29 @@ def _cell_str(cell: DiffCell) -> str:
 
 
 def resolve_all_detailed(s: FlowSystem) -> list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]]:
-    """Every gradient-like resolution of s together with the choices taken.
+    """Every gradient-like resolution of s together with the choices taken:
+    the leaves of _resolution_tree in its order, the Cartesian product of the
+    per-orbit choice lists."""
+    orbits = sum(e.is_orbit for e in s.elements)
+    return [(system, chosen) for chosen, system in _resolution_tree(s) if len(chosen) == orbits]
 
-    An invalid s is refused with its violations.  Orbits are resolved in
-    declaration order with the 2D enumeration at each step, so the output is
-    the Cartesian product of the per-orbit choice lists.  Each choice is
-    applied unchecked: an enumerated choice for a valid system is admissible
-    and its result valid again (p and q get fresh names and indices in
-    range, every new connection keeps the dimension rule and with it the
-    attractor and repeller rules, and a cycle through p or q would have run
-    through the orbit).  Partial resolutions after equally many steps have
-    the same elements in the same order, since a step puts a pair in the
-    orbit's slot named from the names already there.  So an orbit's choices
-    depend only on its (outgoing, incoming) counts, and are enumerated once
-    for each distinct pair of them.
-    """
+
+def _resolution_tree(s: FlowSystem, leaves: bool = True) -> Iterator[tuple[tuple[ChoiceDescriptor, ...], FlowSystem | None]]:
+    """Each node of the tree of choices, depth-first and before its children,
+    as (choices taken, the partial resolution they make); orbits are
+    resolved in declaration order.  With ``leaves`` false a leaf's system is
+    None: only partial resolutions whose next orbit is enumerated are built.
+
+    An invalid s is refused with its violations.  Each choice is applied
+    unchecked: an enumerated choice for a valid system is admissible and its
+    result valid again (p and q get fresh names and indices in range, every
+    new connection keeps the dimension rule and with it the attractor and
+    repeller rules, and a cycle through p or q would have run through the
+    orbit).  Partial resolutions after equally many steps have the same
+    elements in the same order, a step putting a pair named from the names
+    already there in the orbit's slot, so an orbit's choices depend only on
+    its (outgoing, incoming) counts and are enumerated once per distinct
+    pair of them."""
     orbit_names = [e.name for e in s.elements if e.is_orbit]
     if orbit_names and s.dimension != 2:
         raise ValueError(
@@ -392,19 +396,18 @@ def resolve_all_detailed(s: FlowSystem) -> list[tuple[FlowSystem, tuple[ChoiceDe
     if violations := validate(s):
         raise InvalidSystemError(violations)
 
-    # One orbit at a time, extending every partial resolution by each of its
-    # choices in turn: the same order as a depth-first walk.
-    results: list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]] = [(s, ())]
-    for orbit in orbit_names:
-        choices: dict[tuple, list[ChoiceDescriptor]] = {}  # (outgoing, incoming) -> the orbit's choices
-        extended = []
-        for current, chosen in results:
-            key = (tuple(current.connections.outgoing(orbit).items()), tuple(current.connections.incoming(orbit).items()))
+    choices: dict[tuple, list[ChoiceDescriptor]] = {}  # (orbit, outgoing, incoming) -> the orbit's choices
+    stack: list[tuple[tuple[ChoiceDescriptor, ...], FlowSystem | None]] = [((), s)]
+    while stack:
+        chosen, current = stack.pop()
+        yield chosen, current
+        if (depth := len(chosen)) < len(orbit_names):
+            orbit = orbit_names[depth]
+            key = (orbit, tuple(current.connections.outgoing(orbit).items()), tuple(current.connections.incoming(orbit).items()))
             if key not in choices:
                 choices[key] = enumerate_choices_2d(current, orbit)
-            extended += [(_replace_orbit(current, d), chosen + (d,)) for d in choices[key]]
-        results = extended
-    return results
+            build = leaves or depth + 1 < len(orbit_names)
+            stack += [(chosen + (d,), _replace_orbit(current, d) if build else None) for d in reversed(choices[key])]
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .ejcomplex import InvalidSystemError
 from .flowdata import NAME_RE, FlowSystem, ParseError, closure_masks, directive_lines, read_int, validate
 from .gf2 import bits
-from .perturb import ChoiceDescriptor, resolve_all_detailed
+from .perturb import ChoiceDescriptor, _resolution_tree
 
 
 class LabeledPoset:
@@ -32,28 +34,26 @@ class LabeledPoset:
 
     __slots__ = ("_nodes", "_labels", "_index", "_down", "_up")
 
-    def __init__(
-        self,
-        labels: Mapping[str, int] | Iterable[tuple[str, int]],
-        relations: Iterable[tuple[str, str]] = (),
-    ):
+    def __init__(self, labels: Mapping[str, int] | Iterable[tuple[str, int]], relations: Iterable[tuple[str, str]] = ()):
         label_map = dict(labels)
-        self._nodes = tuple(label_map)
-        self._labels = tuple(label_map.values())
-        self._index = index = {name: i for i, name in enumerate(self._nodes)}
-
-        children: list[list[int]] = [[] for _ in self._nodes]
+        nodes = tuple(label_map)
+        index = {name: i for i, name in enumerate(nodes)}
+        children: list[list[int]] = [[] for _ in nodes]
         for a, b in relations:
             if a not in index or b not in index:
                 raise ValueError(f"relation references unknown node {a if a not in index else b!r}")
             if a != b:
                 children[index[b]].append(index[a])
-        self._down, self._up = closure_masks(children)
+        self._adopt(nodes, tuple(label_map.values()), index, *closure_masks(children))
 
-        for i, a in enumerate(self._nodes):
-            if cycle := self._down[i] & self._up[i] & ~(1 << i):
-                b = self._nodes[bits(cycle)[0]]
+    def _adopt(self, nodes, labels, index, down, up) -> "LabeledPoset":
+        """Take nodes, labels, name->index map and closed masks as they are, once antisymmetry holds."""
+        self._nodes, self._labels, self._index, self._down, self._up = nodes, labels, index, down, up
+        for i, a in enumerate(nodes):
+            if cycle := down[i] & up[i] & ~(1 << i):
+                b = nodes[bits(cycle)[0]]
                 raise ValueError(f"not antisymmetric: {a} <= {b} and {b} <= {a}")
+        return self
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -63,7 +63,7 @@ class LabeledPoset:
         return len(self._nodes)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._nodes
+        return name in self._index
 
     def _at(self, name: str) -> int:
         """The index of node ``name``."""
@@ -146,14 +146,7 @@ def face_poset(s: FlowSystem) -> LabeledPoset:
     violations = validate(s)
     if violations:
         raise InvalidSystemError(violations)
-    return _build_face_poset(s)
-
-
-def _build_face_poset(s: FlowSystem) -> LabeledPoset:
-    """face_poset without its checks, for a system known to pass them."""
-    labels = {e.name: e.index for e in s.elements}
-    relations = [(dst, src) for (src, dst) in s.connections.pairs()]
-    return LabeledPoset(labels, relations)
+    return LabeledPoset({e.name: e.index for e in s.elements}, [(dst, src) for (src, dst) in s.connections.pairs()])
 
 
 def parse_poset(text: str | bytes) -> LabeledPoset:
@@ -466,31 +459,59 @@ def census(s: FlowSystem) -> CensusReport:
     gradient-like systems by face-poset isomorphism.  Classes are reported in
     order of first appearance; a gradient input yields a single class.
 
-    An invalid input is refused by resolve_all_detailed, and every
-    resolution of a valid system is valid, so their face posets are built
-    unchecked.  Each face poset's node signatures are computed once and
-    interned as ints local to this call.  Isomorphic posets have equal
-    signature multisets, so a new poset is searched against only the classes
-    that share its sorted ids, its key, each from a search plan built on
-    that class's first search.  All resolutions share their node names, in
-    one order (see resolve_all_detailed), so the names are sorted once."""
-    resolutions = resolve_all_detailed(s)
+    census walks _resolution_tree, which refuses an invalid input, and
+    builds no leaf system.  Every resolution has the same nodes in the same
+    order, an orbit's p and q in its slot, so the orbit-free part is closed
+    once and each step down adds q and then p to a copy of the parent's
+    masks, leaving out edges to orbits not yet resolved: they come back
+    with that orbit's choice.  A leaf's face poset is read off its masks,
+    its node signatures are interned as ints local to the call, and it is
+    searched only against the classes whose first poset has the same sorted
+    ids, its key, from a plan built on that class's first search."""
+    at, slots, labels = {}, {}, []  # each node's index and each orbit's p index, by name; the final labels
+    for e in s.elements:
+        (slots if e.is_orbit else at)[e.name] = len(labels)
+        labels += [e.index + 1, e.index] if e.is_orbit else [e.index]
+    orbits = list(slots)
+    children: list[list[int]] = [[] for _ in labels]
+    for src, dst in s.connections.pairs():
+        if src in at and dst in at:
+            children[at[src]].append(at[dst])
+    masks = [closure_masks(children)]  # (down, up) at each depth of the current branch
     classes: list[list] = []  # each class's members
     by_key: dict[tuple[int, ...], list[list]] = {}  # key -> [first poset, its ids, its plan, members] per class
     intern: dict[tuple, int] = {}
     order = []
-    for system, choices in resolutions:
-        poset = _build_face_poset(system)
+    for chosen, _ in _resolution_tree(s, leaves=False):
+        if depth := len(chosen):
+            d = chosen[-1]
+            p = at[d.p_name] = slots[d.orbit]
+            at[d.q_name] = p + 1
+            later = orbits[depth:]  # edges to these come back with their choices
+            down, up = (list(m) for m in masks[depth - 1])
+            for v, below, above in ((p + 1, d.q_out, d.q_in), (p, ((d.q_name, 2),) + d.p_out, d.p_in)):
+                dv = reduce(or_, [down[at[x]] for x, _ in below if x not in later], 1 << v)
+                uv = reduce(or_, [up[at[x]] for x, _ in above if x not in later], 1 << v)
+                for x in bits(uv):
+                    down[x] |= dv
+                for y in bits(dv):
+                    up[y] |= uv
+            masks[depth:] = [(down, up)]
+        if depth < len(orbits):
+            continue
+        if not order:
+            nodes, labels = tuple(sorted(at, key=at.get)), tuple(labels)
+            order = sorted(range(len(nodes)), key=nodes.__getitem__)
+        poset = LabeledPoset.__new__(LabeledPoset)._adopt(nodes, labels, at, *masks[-1])
         ids = [intern.setdefault(sig, len(intern)) for sig in _signatures(poset)]
-        order = order or sorted(range(len(poset)), key=poset.nodes.__getitem__)
         bucket = by_key.setdefault(tuple(sorted(ids)), [])
         for cls in bucket:
             first, first_ids, plan, members = cls
             cls[2] = plan = plan or _search_plan(first, first_ids)
             if _search_isomorphism(first, poset, plan, ids, order) is not None:
-                members.append(choices)
+                members.append(chosen)
                 break
         else:
-            bucket.append([poset, ids, (), [choices]])
+            bucket.append([poset, ids, (), [chosen]])
             classes.append(bucket[-1][3])
-    return CensusReport(total=len(resolutions), classes=tuple(CensusClass(tuple(members)) for members in classes))
+    return CensusReport(total=sum(map(len, classes)), classes=tuple(CensusClass(tuple(members)) for members in classes))

@@ -459,6 +459,20 @@ def test_family_enumerates_each_orbit_once(monkeypatch):
     assert len(got) == 216 and got == reference_resolutions(s)
 
 
+def test_census_builds_no_leaf_system(monkeypatch):
+    # census walks the same tree as resolve_all_detailed, sharing each
+    # orbit's choices, but builds a partial resolution only where the next
+    # orbit's choices are enumerated: 6 + 36 = 42 before the last orbit,
+    # none of the 216 leaves.
+    calls = counting_enumeration(monkeypatch)
+    built = []
+    original = perturb_module._replace_orbit
+    monkeypatch.setattr(perturb_module, "_replace_orbit", lambda s, d: built.append(d.orbit) or original(s, d))
+    assert census(orbits_over_sinks(3, 6, 3)).total == 216
+    assert calls == ["g0", "g1", "g2"]
+    assert len(built) <= 42
+
+
 REST_CYCLE = "dim 2\norbit g 1 untwisted\nrest s1 1\nrest s2 1\nrest q0 0\nconn g q0 1\nconn s1 s2 1\nconn s2 s1 1\nconn s1 q0 2\n"
 ORBIT_INTO_SOURCE = "dim 2\norbit g 1 untwisted\nrest r 2\nrest q0 0\nconn g r 1\nconn g q0 1\n"
 ATTRACTING_ORBIT_WITH_OUTFLOW = "dim 2\nrest r 2\norbit a 0 untwisted\nrest q0 0\nconn r a 1\nconn a q0 1\n"

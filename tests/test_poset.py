@@ -127,6 +127,14 @@ def test_downset_upset_and_len(two_cells):
     assert len(y) == 4 and "a" in y and "z" not in y
 
 
+def test_contains_looks_the_name_up():
+    # Membership is by node name: a label, an index or a name's prefix is
+    # not a node.
+    p = chain(1200, "n")
+    assert "n0" in p and "n1199" in p
+    assert "n1200" not in p and "n" not in p and 0 not in p
+
+
 def test_renamed_requires_a_bijection(two_cells):
     y, _ = two_cells
     with pytest.raises(ValueError):
@@ -606,8 +614,12 @@ def reference_census(s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(systems_with_orbits(), st.randoms(use_true_random=False))
+@given(systems_with_orbits() | systems_with_orbits(feeding=True), st.randoms(use_true_random=False))
 def test_census_matches_pairwise_grouping(s, rng):
+    # With feeding, a repelling orbit drains into an attracting one.  When
+    # the repelling orbit is resolved first, its new saddle may land on the
+    # attracting orbit, and census leaves those edges out until that orbit
+    # is resolved; the reordered copy often resolves the two the other way.
     assume(len(resolve_all_detailed(s)) <= 60)
     reordered = replace(s, elements=tuple(rng.sample(list(s.elements), len(s.elements))))
     for system in (s, reordered):
