@@ -128,21 +128,16 @@ def build_complex(s: FlowSystem) -> ChainComplexGF2:
             groups[e.index][1].append(BasisElement(e.name, MINUS, e.index))
             groups[e.index + 1][2].append(BasisElement(e.name, PLUS, e.index + 1))
     bases = [tuple(rest + lower + upper) for rest, lower, upper in groups]
-    place: dict[str, list[tuple[int, int]]] = {}  # origin -> (degree, position) of each of its copies
-    for k, level in enumerate(bases):
-        for i, x in enumerate(level):
-            place.setdefault(x.origin, []).append((k, i))
+    at = [{x.origin: i for i, x in enumerate(level)} for level in bases]  # origin -> position, per degree
 
-    # Entry (row, col) of d_k is the parity of c(col.origin, row.origin).  The
-    # two copies of one orbit get 0 because self-connections are unrepresentable.
-    ones: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for (src, dst), c in s.connections.items():
-        if c & 1:
-            for k, col in place[src]:
-                for j, row in place[dst]:
-                    if j == k - 1:
-                        ones[k].append((row, col))
-    boundaries = [MatrixGF2.from_ones(len(bases[k - 1]) if k else 0, len(bases[k]), ones[k]) for k in range(n + 1)]
+    # Entry (row, col) of d_k is the parity of c(col.origin, row.origin), so d_k
+    # holds the odd connections from a copy in degree k to one in degree k-1.
+    # The two copies of one orbit get 0 because self-connections are unrepresentable.
+    odd = [pair for pair, c in s.connections.items() if c & 1]
+    boundaries = [
+        MatrixGF2.from_ones(len(rows), len(cols), [(rows[dst], cols[src]) for src, dst in odd if dst in rows and src in cols])
+        for rows, cols in zip([{}] + at, at)
+    ]
     vars(s)["_complex"] = cx = ChainComplexGF2(top_degree=n, bases=tuple(bases), boundaries=tuple(boundaries))
     return cx
 
@@ -201,6 +196,7 @@ def compare_matrices(
         if x.degree != y.degree:
             raise ValueError(f"correspondence is not degree-preserving: {x.label} (degree {x.degree}) -> {y.label} (degree {y.degree})")
 
+    perms: list[list[int]] = []  # per degree, the position in b's basis of the image of each of a's generators
     for k in range(a.top_degree + 1):
         left, right = a.basis(k), b.basis(k)
         if len(left) != len(right):
@@ -209,14 +205,16 @@ def compare_matrices(
         if any(y is None for y in images):
             missing = [x.label for x, y in zip(left, images) if y is None]
             raise ValueError(f"correspondence misses basis element(s) {missing} in degree {k}")
-        if set(images) != set(right):
+        at = {y: j for j, y in enumerate(right)}
+        perms.append([at.get(y) for y in images])
+        if None in perms[k] or len(set(perms[k])) != len(at):  # the images are exactly the elements of b's basis
             raise ValueError(f"correspondence is not a bijection onto the second basis in degree {k}")
 
-    cells: list[DiffCell] = []
-    for k in range(1, a.top_degree + 1):
-        axes_a, axes_b = (a.basis(k - 1), a.basis(k)), (b.basis(k - 1), b.basis(k))
-        cells += diff_cells(k, a.boundary(k), b.boundary(k), axes_a, axes_b, correspondence)
-    return tuple(cells)
+    return tuple(
+        cell
+        for k in range(1, a.top_degree + 1)
+        for cell in _diff_aligned(k, a.boundary(k), b.boundary(k).permuted(perms[k - 1], perms[k]), a.basis(k - 1), a.basis(k))
+    )
 
 
 Axes = tuple[Sequence[BasisElement], Sequence[BasisElement]]
@@ -233,6 +231,13 @@ def diff_cells(
     rows, cols = left_axes
     row_at, col_at = ({x: i for i, x in enumerate(axis)} for axis in right_axes)
     aligned = right.permuted([row_at[correspondence[x]] for x in rows], [col_at[correspondence[x]] for x in cols])
+    return _diff_aligned(degree, left, aligned, rows, cols)
+
+
+def _diff_aligned(
+    degree: int, left: MatrixGF2, aligned: MatrixGF2, rows: Sequence[BasisElement], cols: Sequence[BasisElement]
+) -> list[DiffCell]:
+    """Entries where ``left`` differs from ``aligned``, a matrix on the same axes, in row-major order."""
     return [
         DiffCell(degree=degree, row=rows[i], col=cols[j], left=left[i, j], right=aligned[i, j])
         for i, j in add(left, aligned).nonzero_entries()

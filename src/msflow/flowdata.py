@@ -95,10 +95,15 @@ class ConnectionMap:
                 raise ValueError(f"self-connection {src} -> {dst} is not representable")
             if type(c) is not int or c < 1:
                 raise ValueError(f"connection {src} -> {dst}: count must be a positive integer, got {c!r}")
+        self._adopt(items)
+
+    def _adopt(self, items: dict[tuple[str, str], int]) -> "ConnectionMap":
+        """Take counts whose pairs and values are checked already, in (source, target) order."""
         # Sorting by target, then stably by source, beats one sort of the (pair, count) items on unsorted input.
         pairs = sorted(items, key=itemgetter(1))
         pairs.sort(key=itemgetter(0))
         self._counts = {pair: items[pair] for pair in pairs}
+        return self
 
     def count(self, src: str, dst: str) -> int:
         return self._counts.get((src, dst), 0)
@@ -204,7 +209,7 @@ def directive_lines(text: str | bytes) -> Iterator[tuple[int, list[str], str]]:
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if tokens:
             yield lineno, tokens, raw
 
@@ -221,8 +226,8 @@ def parse(text: str | bytes) -> FlowSystem:
     (index ranges, dimension rule, ...) are the validator's job, so malformed
     systems can be loaded for diagnosis.  ``read_int`` checks each number,
     ``CriticalElement`` the spelling of each name, and parse the directives,
-    argument counts, references and duplicates; ConnectionMap repeats only
-    its cheap self-pair and count checks.
+    argument counts, references, self-pairs and duplicates, so ConnectionMap
+    only sorts the counts.
     """
     dimension: int | None = None
     label: str | None = None
@@ -289,7 +294,7 @@ def parse(text: str | bytes) -> FlowSystem:
     return FlowSystem(
         dimension=dimension,
         elements=tuple(elements),
-        connections=ConnectionMap(counts),
+        connections=ConnectionMap.__new__(ConnectionMap)._adopt(counts),
         label=label,
         expected_betti=expected,
     )
@@ -340,6 +345,12 @@ def validate(s: FlowSystem, strict: bool = False) -> list[Violation]:
     attractors (sinks, index-0 orbits), no incoming connections to repellers
     (sources, index-(n-1) orbits), and acyclicity of the connection digraph.
 
+    Acyclicity is the Smale ordering that transversality forces: where the
+    dimension rule holds, the rank 2 * index (+1 for an orbit) strictly falls
+    along a connection, unless it joins two orbits of one index.  So the
+    digraph is searched for a cycle only when some connection breaks the
+    rule or joins two such orbits.
+
     Strict mode (2D only) additionally requires every saddle to have total
     outgoing multiplicity exactly 2 and total incoming multiplicity exactly 2
     (one per separatrix).
@@ -373,8 +384,8 @@ def _check(s: FlowSystem) -> list[Violation]:
     n = s.dimension
     duplicates: list[Violation] = []
     ranges: list[Violation] = []
-    # name -> (element, unstable dim, stable dim, attractor?, repeller?) of its last declaration
-    table: dict[str, tuple[CriticalElement, int, int, bool, bool]] = {}
+    # name -> (element, unstable dim, stable dim, attractor?, repeller?, rank) of its last declaration
+    table: dict[str, tuple[CriticalElement, int, int, bool, bool, int]] = {}
     for e in s.elements:
         if e.name in table:
             duplicates.append(Violation("duplicate-name", (e.name,), f"element name {e.name!r} declared more than once"))
@@ -383,8 +394,9 @@ def _check(s: FlowSystem) -> list[Violation]:
         if not (0 <= e.index <= top):
             message = f"{e.kind} {e.name} has index {e.index}, allowed range 0..{top} in dimension {n}"
             ranges.append(Violation("index-range", (e.name,), message))
-        table[e.name] = (e, e.index + 1 if orbit else e.index, n - e.index, e.index == 0, e.index == top)
+        table[e.name] = (e, e.index + 1 if orbit else e.index, n - e.index, e.index == 0, e.index == top, 2 * e.index + orbit)
     violations = duplicates + ranges
+    ranked = True  # the rank falls along every connection between known elements, so there is no cycle
 
     for (src, dst), c in s.connections.items():
         if src not in table or dst not in table:
@@ -393,8 +405,9 @@ def _check(s: FlowSystem) -> list[Violation]:
                 Violation("unknown-element", tuple(missing), f"connection {src} -> {dst} references unknown element(s) {missing}")
             )
             continue
-        a, u, _, attractor, _ = table[src]
-        b, _, sd, _, repeller = table[dst]
+        a, u, _, attractor, _, rank = table[src]
+        b, _, sd, _, repeller, below = table[dst]
+        ranked = ranked and below < rank
         if u + sd < n + 1:
             message = f"c({src},{dst})={c} requires u+s >= {n + 1}, got u({src})={u}, s({dst})={sd}"
             violations.append(Violation("dimension-rule", (src, dst), message))
@@ -407,7 +420,7 @@ def _check(s: FlowSystem) -> list[Violation]:
                 Violation("repeller-rule", (dst,), f"repeller {dst} ({b.kind}, index {b.index}) has an incoming connection from {src}")
             )
 
-    cycle = _find_cycle(s)
+    cycle = None if ranked else _find_cycle(s)
     if cycle:
         violations.append(
             Violation("acyclicity", tuple(cycle), "connection digraph has a cycle: " + " -> ".join(cycle))

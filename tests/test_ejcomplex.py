@@ -23,6 +23,7 @@ from msflow import (
     euler_characteristic,
     parse,
     serialize,
+    validate,
 )
 from msflow import ejcomplex, perturb
 from msflow.ejcomplex import MINUS, PLAIN, PLUS, diff_cells
@@ -300,27 +301,56 @@ def test_compare_before_and_after_orbit_removal(fig3):
     assert [(cell.row.label, cell.left, cell.right) for cell in diff] == [("q2", 1, 0)]
 
 
+def refusal(a, b, corr):
+    with pytest.raises(ValueError) as err:
+        compare_matrices(a, b, corr)
+    return str(err.value)
+
+
 def test_compare_rejects_size_mismatch(fig3, fig5):
     a = build_complex(fig3)
     b = build_complex(fig5)
-    with pytest.raises(ValueError):
-        compare_matrices(a, b, identity_correspondence(a))
+    assert refusal(a, b, identity_correspondence(a)) == "basis sizes differ in degree 0: 3 vs 4"
 
 
-def test_compare_rejects_degree_breaking_map(fig5):
+def test_compare_rejects_degree_breaking_map(fig3, fig5):
     c = build_complex(fig5)
     corr = identity_correspondence(c)
     corr[BasisElement("gamma", PLUS, 2)] = BasisElement("q1", PLAIN, 0)
-    with pytest.raises(ValueError):
-        compare_matrices(c, c, corr)
+    message = "correspondence is not degree-preserving: gamma+ (degree 2) -> q1 (degree 0)"
+    assert refusal(c, c, corr) == message
+    # every image's degree is checked before any basis size
+    a = build_complex(fig3)
+    corr = identity_correspondence(a)
+    corr[BasisElement("gamma", PLUS, 2)] = BasisElement("q1", PLAIN, 0)
+    assert refusal(a, c, corr) == message
+
+
+def test_compare_rejects_a_missing_generator(fig5):
+    c = build_complex(fig5)
+    corr = identity_correspondence(c)
+    del corr[BasisElement("s1", PLAIN, 1)]
+    assert refusal(c, c, corr) == "correspondence misses basis element(s) ['s1'] in degree 1"
+    # degree by degree: a lower degree's refusal wins
+    corr[BasisElement("q1", PLAIN, 0)] = BasisElement("q2", PLAIN, 0)
+    assert refusal(c, c, corr) == "correspondence is not a bijection onto the second basis in degree 0"
 
 
 def test_compare_rejects_non_injective_map(fig5):
     c = build_complex(fig5)
     corr = identity_correspondence(c)
     corr[BasisElement("s1", PLAIN, 1)] = BasisElement("s2", PLAIN, 1)
-    with pytest.raises(ValueError):
-        compare_matrices(c, c, corr)
+    assert refusal(c, c, corr) == "correspondence is not a bijection onto the second basis in degree 1"
+    # within a degree, a missing generator wins
+    del corr[BasisElement("s2", PLAIN, 1)]
+    assert refusal(c, c, corr) == "correspondence misses basis element(s) ['s2'] in degree 1"
+
+
+def test_compare_rejects_an_image_outside_the_second_basis(fig5):
+    c = build_complex(fig5)
+    corr = identity_correspondence(c)
+    corr[BasisElement("s1", PLAIN, 1)] = BasisElement("zz", PLAIN, 1)
+    assert refusal(c, c, corr) == "correspondence is not a bijection onto the second basis in degree 1"
 
 
 # The comparison before it summed permuted row masks, kept as the reference:
@@ -336,6 +366,69 @@ def reference_diff_cells(degree, left, right, left_axes, right_axes, corresponde
         DiffCell(degree=degree, row=rows[i], col=cols[j], left=int((i, j) in ones_left), right=int((i, j) in ones_right))
         for i, j in sorted(ones_left ^ ones_right)
     ]
+
+
+# compare_matrices before it shared one permutation per degree between its
+# checks and both boundary matrices: the correspondence checked element by
+# element, then each boundary matrix compared by the reference above.
+def reference_compare_matrices(a, b, correspondence):
+    if a.top_degree != b.top_degree:
+        raise ValueError(f"top degrees differ: {a.top_degree} vs {b.top_degree}")
+    for x, y in correspondence.items():
+        if x.degree != y.degree:
+            raise ValueError(f"correspondence is not degree-preserving: {x.label} (degree {x.degree}) -> {y.label} (degree {y.degree})")
+    for k in range(a.top_degree + 1):
+        left, right = a.basis(k), b.basis(k)
+        if len(left) != len(right):
+            raise ValueError(f"basis sizes differ in degree {k}: {len(left)} vs {len(right)}")
+        missing = [x.label for x in left if x not in correspondence]
+        if missing:
+            raise ValueError(f"correspondence misses basis element(s) {missing} in degree {k}")
+        if {correspondence[x] for x in left} != set(right):
+            raise ValueError(f"correspondence is not a bijection onto the second basis in degree {k}")
+    return tuple(
+        cell
+        for k in range(1, a.top_degree + 1)
+        for cell in reference_diff_cells(
+            k, a.boundary(k), b.boundary(k), (a.basis(k - 1), a.basis(k)), (b.basis(k - 1), b.basis(k)), correspondence
+        )
+    )
+
+
+def comparison_outcome(compare, a, b, correspondence):
+    try:
+        return compare(a, b, correspondence)
+    except ValueError as err:
+        return str(err)
+
+
+VALID_COMPLEXES = [build_complex(s) for s in map(load_fixture, all_msf_fixtures()) if not validate(s)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compare_matrices_matches_the_reference(data):
+    """Results and refusals alike, on correspondences that permute each
+    degree and then may break one generator's image."""
+    a, b = data.draw(st.sampled_from(VALID_COMPLEXES)), data.draw(st.sampled_from(VALID_COMPLEXES))
+    generators = [x for level in a.bases for x in level]
+    corr = {}
+    for k in range(a.top_degree + 1):
+        images = data.draw(st.permutations(list(b.basis(k))))
+        corr.update(zip(a.basis(k), images))
+    x = data.draw(st.sampled_from(generators))
+    damage = data.draw(st.sampled_from(["none", "drop", "outside", "collide", "degree", "extra"]))
+    if damage == "drop":
+        corr.pop(x, None)
+    elif damage == "outside":
+        corr[x] = BasisElement("zz", PLAIN, x.degree)
+    elif damage == "collide":
+        corr[x] = data.draw(st.sampled_from([y for y in generators if y.degree == x.degree]))
+    elif damage == "degree":
+        corr[x] = BasisElement(x.origin, x.flavor, x.degree + 1)
+    elif damage == "extra":
+        corr[BasisElement("zz", PLAIN, 0)] = BasisElement("zz", PLAIN, data.draw(st.integers(0, 1)))
+    assert comparison_outcome(compare_matrices, a, b, corr) == comparison_outcome(reference_compare_matrices, a, b, corr)
 
 
 @st.composite
@@ -381,6 +474,7 @@ def claims_reports(s, orbit):
 def test_claims_reports_match_the_reference_comparison(monkeypatch, text, orbit):
     reports = claims_reports(parse(text), orbit)
     assert len(reports) == 6  # three sinks downstream of each orbit
-    monkeypatch.setattr(ejcomplex, "diff_cells", reference_diff_cells)
+    # verify_franks_claims reaches both comparisons through perturb's bindings
+    monkeypatch.setattr(perturb, "compare_matrices", reference_compare_matrices)
     monkeypatch.setattr(perturb, "diff_cells", reference_diff_cells)
     assert claims_reports(parse(text), orbit) == reports

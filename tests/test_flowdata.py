@@ -530,6 +530,58 @@ def test_connection_map_keeps_pairs_in_sorted_order(counts, rng):
     assert list(m.items()) == sorted(counts.items())
 
 
+@st.composite
+def conn_shuffled_texts(draw):
+    """.msf text with its conn lines in random order: a torus grid, or a soup
+    system whose repeated names are declared once and whose undeclared
+    endpoints are declared as sinks."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        return torus_grid_text(draw(st.integers(3, 5)), rng, orbit=draw(st.booleans()))
+    s = draw(soup_systems())
+    elements = {name: CriticalElement(name, "rest", 0) for name in "abcde"} | {e.name: e for e in reversed(s.elements)}
+    lines = serialize(replace(s, elements=tuple(elements.values()))).splitlines()
+    head, conns = lines[: 1 + len(elements)], lines[1 + len(elements) :]
+    rng.shuffle(conns)
+    return "\n".join(head + conns) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(conn_shuffled_texts())
+def test_parse_builds_the_connection_map_the_public_constructor_builds(text):
+    parsed = parse(text).connections
+    public = ConnectionMap(dict(parsed.items()))
+    assert parsed == public and hash(parsed) == hash(public)
+    assert list(parsed.items()) == list(public.items())
+
+
+BAD_CONN_LINES = {
+    "self-pair": ("conn v0_0 v0_0 1", "self-connection v0_0 -> v0_0 is not allowed"),
+    "count 0": ("conn h0_0 v0_0 0", "expected a positive integer, got 0"),
+    "01x": ("conn h0_0 v0_0 01x", "expected an integer (digits 0-9), got '01x'"),
+    "unknown source": ("conn zz v0_0 1", "unknown element 'zz'"),
+    "unknown target": ("conn h0_0 zz 1", "unknown element 'zz'"),
+    "duplicate": ("conn h0_0 v0_0 1", "duplicate conn line for h0_0 -> v0_0"),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(BAD_CONN_LINES)), st.integers(0, 2**32), st.data())
+def test_a_bad_conn_line_is_refused_at_its_line(kind, seed, data):
+    lines = torus_grid_text(3, random.Random(seed)).splitlines()
+    first_conn = next(i for i, line in enumerate(lines) if line.startswith("conn"))
+    at = data.draw(st.integers(first_conn, len(lines)))
+    if kind == "duplicate":  # h0_0 -> v0_0 is a grid edge, so the later of its two lines is refused
+        lines.remove("conn h0_0 v0_0 1")
+        lines.insert(data.draw(st.integers(first_conn, len(lines))), "conn h0_0 v0_0 1")
+    bad, message = BAD_CONN_LINES[kind]
+    lines.insert(at, bad)
+    line = max(i for i, text in enumerate(lines, start=1) if text == bad)
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines) + "\n")
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -587,9 +639,10 @@ def test_sink_with_outgoing_and_source_with_incoming_flagged():
     assert any(v.rule == "repeller-rule" for v in validate(source))
 
 
-def test_connection_cycle_detected():
+def test_connection_cycle_detected(monkeypatch):
     # Two index-1 orbits in a 3-manifold may legally connect in either
     # direction (u=2, s=2, 2+2 >= 4), so a 2-cycle exercises acyclicity alone.
+    calls = counting_cycle_searches(monkeypatch)
     s = parse(
         "dim 3\norbit g1 1 untwisted\norbit g2 1 untwisted\n"
         "conn g1 g2 1\nconn g2 g1 1\n"
@@ -598,6 +651,8 @@ def test_connection_cycle_detected():
     assert any(v.rule == "acyclicity" for v in violations)
     # the two orbit rules are silent here: neither is an attractor/repeller
     assert all(v.rule == "acyclicity" for v in violations)
+    # orbits of one index keep their rank along a connection, so the digraph is searched
+    assert calls == [s]
 
 
 def test_strict_mode_requires_exactly_two_separatrices_each_way():
@@ -704,6 +759,33 @@ def test_validate_matches_the_rule_by_rule_reference(s):
     if s.dimension == 2:
         assert validate(s, strict=True) == reference_validate(s, strict=True)
     assert validate(s) == reference_validate(s)
+
+
+def counting_cycle_searches(monkeypatch):
+    """A list that gets one entry per depth-first search for a cycle."""
+    calls = []
+    find = flowdata._find_cycle
+    monkeypatch.setattr(flowdata, "_find_cycle", lambda s: calls.append(s) or find(s))
+    return calls
+
+
+def test_ranked_systems_are_not_searched_for_cycles(monkeypatch):
+    calls = counting_cycle_searches(monkeypatch)
+    systems = [load_fixture(name) for name in all_msf_fixtures()] + [parse(torus_grid_text(6, random.Random(2), orbit=True))]
+    for s in systems:
+        assert validate(s) == []
+    assert calls == []
+
+
+def test_a_cycle_closed_by_broken_dimension_rules_is_found(monkeypatch):
+    calls = counting_cycle_searches(monkeypatch)
+    s = parse("dim 2\nrest a 1\nrest b 1\nconn a b 1\nconn b a 1\n")
+    assert validate(s) == [
+        Violation("dimension-rule", ("a", "b"), "c(a,b)=1 requires u+s >= 3, got u(a)=1, s(b)=1"),
+        Violation("dimension-rule", ("b", "a"), "c(b,a)=1 requires u+s >= 3, got u(b)=1, s(a)=1"),
+        Violation("acyclicity", ("a", "b", "a"), "connection digraph has a cycle: a -> b -> a"),
+    ]
+    assert calls == [s]
 
 
 def test_validate_matches_the_reference_on_fixtures_and_random_systems():
