@@ -405,7 +405,12 @@ def run(argv: list[str] | None = None) -> int:
         print("msflow: error: --all needs --out <directory>", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left, as `| head` does: not an input error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # nothing left to flush at exit
+        return 1
     except (OSError, ValueError) as err:  # parse, choice and validation errors are ValueErrors
         print(f"msflow: error: {err}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .flowdata import FlowSystem, Violation, validate
 from .gf2 import MatrixGF2, add, multiply, rank
@@ -189,6 +189,19 @@ def compare_matrices(
     """Entry-by-entry comparison of boundary matrices under a
     degree-preserving basis bijection from a to b: the entries where they
     disagree, by degree and then row-major."""
+    perms = _alignment(a, b, correspondence)
+    cells = []
+    for k in range(1, a.top_degree + 1):
+        rows, cols, left = a.basis(k - 1), a.basis(k), a.boundary(k)
+        aligned = b.boundary(k).permuted(perms[k - 1], perms[k])
+        cells += [DiffCell(k, rows[i], cols[j], left[i, j], aligned[i, j]) for i, j in add(left, aligned).nonzero_entries()]
+    return tuple(cells)
+
+
+def _alignment(a: ChainComplexGF2, b: ChainComplexGF2, correspondence: Mapping[BasisElement, BasisElement]) -> list[list[int]]:
+    """Per degree, the position in b's basis of the image of each of a's
+    generators; refuses a correspondence that is not a degree-preserving
+    bijection of the bases."""
     if a.top_degree != b.top_degree:
         raise ValueError(f"top degrees differ: {a.top_degree} vs {b.top_degree}")
 
@@ -196,7 +209,7 @@ def compare_matrices(
         if x.degree != y.degree:
             raise ValueError(f"correspondence is not degree-preserving: {x.label} (degree {x.degree}) -> {y.label} (degree {y.degree})")
 
-    perms: list[list[int]] = []  # per degree, the position in b's basis of the image of each of a's generators
+    perms: list[list[int]] = []
     for k in range(a.top_degree + 1):
         left, right = a.basis(k), b.basis(k)
         if len(left) != len(right):
@@ -209,36 +222,4 @@ def compare_matrices(
         perms.append([at.get(y) for y in images])
         if None in perms[k] or len(set(perms[k])) != len(at):  # the images are exactly the elements of b's basis
             raise ValueError(f"correspondence is not a bijection onto the second basis in degree {k}")
-
-    return tuple(
-        cell
-        for k in range(1, a.top_degree + 1)
-        for cell in _diff_aligned(k, a.boundary(k), b.boundary(k).permuted(perms[k - 1], perms[k]), a.basis(k - 1), a.basis(k))
-    )
-
-
-Axes = tuple[Sequence[BasisElement], Sequence[BasisElement]]
-
-
-def diff_cells(
-    degree: int, left: MatrixGF2, right: MatrixGF2, left_axes: Axes, right_axes: Axes,
-    correspondence: Mapping[BasisElement, BasisElement],
-) -> list[DiffCell]:
-    """Entries where ``left`` differs from ``right``, in row-major order.  Each
-    matrix is indexed by its (row basis, column basis) axes, and
-    ``correspondence`` maps the left axes bijectively onto the right ones:
-    ``right`` is permuted onto the left axes and the two summed."""
-    rows, cols = left_axes
-    row_at, col_at = ({x: i for i, x in enumerate(axis)} for axis in right_axes)
-    aligned = right.permuted([row_at[correspondence[x]] for x in rows], [col_at[correspondence[x]] for x in cols])
-    return _diff_aligned(degree, left, aligned, rows, cols)
-
-
-def _diff_aligned(
-    degree: int, left: MatrixGF2, aligned: MatrixGF2, rows: Sequence[BasisElement], cols: Sequence[BasisElement]
-) -> list[DiffCell]:
-    """Entries where ``left`` differs from ``aligned``, a matrix on the same axes, in row-major order."""
-    return [
-        DiffCell(degree=degree, row=rows[i], col=cols[j], left=left[i, j], right=aligned[i, j])
-        for i, j in add(left, aligned).nonzero_entries()
-    ]
+    return perms

@@ -27,9 +27,9 @@ from .ejcomplex import (
     MINUS,
     PLAIN,
     PLUS,
+    _alignment,
     build_complex,
     compare_matrices,
-    diff_cells,
     multiply,  # noqa: F401  (unused here; the benchmark's tracer tests check that it patches this binding too)
 )
 from .flowdata import (
@@ -342,8 +342,8 @@ def verify_franks_claims(before: FlowSystem, after: PerturbationResult) -> Claim
 
     (prod_before,), (prod_after,) = cx_before.squares, cx_after.squares  # d_1 . d_2, the one product in dimension 2
     products_zero = prod_before.is_zero() and prod_after.is_zero()
-    axes = [(cx.basis(0), cx.basis(2)) for cx in (cx_before, cx_after)]
-    products_equal = products_zero or not diff_cells(2, prod_before, prod_after, *axes, bijection)
+    # Only a nonzero product is aligned: after's onto before's bases of degrees 0 and 2.
+    products_equal = products_zero or prod_after.permuted(*_alignment(cx_before, cx_after, bijection)[::2]) == prod_before
 
     return ClaimsReport(case=case, outcomes=outcomes, products_equal=products_equal, products_zero=products_zero)
 
@@ -365,17 +365,19 @@ def _cell_str(cell: DiffCell) -> str:
 
 def resolve_all_detailed(s: FlowSystem) -> list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]]:
     """Every gradient-like resolution of s together with the choices taken:
-    the leaves of _resolution_tree in its order, the Cartesian product of the
-    per-orbit choice lists."""
+    the deepest nodes of _resolution_tree in its order, the Cartesian product
+    of the per-orbit choice lists, each built from its parent (s itself when
+    s has no orbit)."""
     orbits = sum(e.is_orbit for e in s.elements)
-    return [(system, chosen) for chosen, system in _resolution_tree(s) if len(chosen) == orbits]
+    tree = _resolution_tree(s)
+    return [(_replace_orbit(parent, chosen[-1]) if chosen else s, chosen) for chosen, parent in tree if len(chosen) == orbits]
 
 
-def _resolution_tree(s: FlowSystem, leaves: bool = True) -> Iterator[tuple[tuple[ChoiceDescriptor, ...], FlowSystem | None]]:
+def _resolution_tree(s: FlowSystem) -> Iterator[tuple[tuple[ChoiceDescriptor, ...], FlowSystem]]:
     """Each node of the tree of choices, depth-first and before its children,
-    as (choices taken, the partial resolution they make); orbits are
-    resolved in declaration order.  With ``leaves`` false a leaf's system is
-    None: only partial resolutions whose next orbit is enumerated are built.
+    as (choices taken, the partial resolution the last of them applies to,
+    or s at the root); orbits are resolved in declaration order.  A node's
+    own partial resolution is built only to enumerate its next orbit.
 
     An invalid s is refused with its violations.  Each choice is applied
     unchecked: an enumerated choice for a valid system is admissible and its
@@ -397,17 +399,17 @@ def _resolution_tree(s: FlowSystem, leaves: bool = True) -> Iterator[tuple[tuple
         raise InvalidSystemError(violations)
 
     choices: dict[tuple, list[ChoiceDescriptor]] = {}  # (orbit, outgoing, incoming) -> the orbit's choices
-    stack: list[tuple[tuple[ChoiceDescriptor, ...], FlowSystem | None]] = [((), s)]
+    stack: list[tuple[tuple[ChoiceDescriptor, ...], FlowSystem]] = [((), s)]
     while stack:
-        chosen, current = stack.pop()
-        yield chosen, current
+        chosen, parent = stack.pop()
+        yield chosen, parent
         if (depth := len(chosen)) < len(orbit_names):
+            current = _replace_orbit(parent, chosen[-1]) if chosen else s
             orbit = orbit_names[depth]
             key = (orbit, tuple(current.connections.outgoing(orbit).items()), tuple(current.connections.incoming(orbit).items()))
             if key not in choices:
                 choices[key] = enumerate_choices_2d(current, orbit)
-            build = leaves or depth + 1 < len(orbit_names)
-            stack += [(chosen + (d,), _replace_orbit(current, d) if build else None) for d in reversed(choices[key])]
+            stack += [(chosen + (d,), current) for d in reversed(choices[key])]
 
 
 # ---------------------------------------------------------------------------

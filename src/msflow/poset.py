@@ -113,8 +113,8 @@ class LabeledPoset:
         known-isomorphic copies."""
         if sorted(mapping) != sorted(self._nodes) or len(set(mapping.values())) != len(self._nodes):
             raise ValueError("mapping must be a bijection on the node set")
-        new_labels = {mapping[name]: self.label(name) for name in self._nodes}
-        return LabeledPoset(new_labels, [(mapping[a], mapping[b]) for a, b in self.covers()])
+        index = {mapping[name]: i for i, name in enumerate(self._nodes)}
+        return LabeledPoset.__new__(LabeledPoset)._adopt(tuple(index), self._labels, index, self._down, self._up)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledPoset):
@@ -302,15 +302,16 @@ def _search_plan(a: LabeledPoset, sig_a: Sequence) -> tuple:
 
 def _search_isomorphism(
     a: LabeledPoset, b: LabeledPoset, plan: tuple, sig_b: Sequence, order: Sequence[int]
-) -> dict[str, str] | None:
+) -> list[int] | None:
     """Backtracking search for a label-preserving order isomorphism that maps
-    each node onto one of equal signature.  ``plan`` is
-    ``_search_plan(a, sig_a)``; ``sig_a``/``sig_b`` list the nodes'
-    signatures by index (see _signatures), or ids both sides share for
-    them; ``order`` is b's node indices in name order.  The caller vouches
-    that the two signature multisets agree: is_isomorphic searches only
-    when the profiles do, census only within a key.  The stack is explicit,
-    so long chains need no recursion.
+    each node onto one of equal signature: b's node index for each of a's
+    nodes in plan order, or None.  ``plan`` is ``_search_plan(a, sig_a)``;
+    ``sig_a``/``sig_b`` list the nodes' signatures by index (see
+    _signatures), or ids both sides share for them; ``order`` is b's node
+    indices in name order.  The caller vouches that the two signature
+    multisets agree: is_isomorphic searches only when the profiles do,
+    census only within a key.  The stack is explicit, so long chains need
+    no recursion.
 
     Forward checking (Haralick & Elliott, 1980): each depth keeps a domain,
     the mask of b's nodes still open to it.  Assigning x -> y narrows every
@@ -369,7 +370,7 @@ def _search_isomorphism(
         else:
             next_option[depth] = i + 1
             depth += 1
-    return None if depth < 0 else {a._nodes[i]: b._nodes[opts[k - 1]] for i, opts, k in zip(nodes, options, next_option)}
+    return None if depth < 0 else [opts[k - 1] for opts, k in zip(options, next_option)]
 
 
 def is_isomorphic(a: LabeledPoset, b: LabeledPoset) -> IsoVerdict:
@@ -384,13 +385,13 @@ def is_isomorphic(a: LabeledPoset, b: LabeledPoset) -> IsoVerdict:
     if certificate is not None:
         return IsoVerdict(isomorphic=False, certificate=certificate)
     plan = _search_plan(a, pa._by_node)
-    mapping = _search_isomorphism(a, b, plan, pb._by_node, sorted(range(len(b)), key=b._nodes.__getitem__))
-    if mapping is None:
+    images = _search_isomorphism(a, b, plan, pb._by_node, sorted(range(len(b)), key=b._nodes.__getitem__))
+    if images is None:
         return IsoVerdict(
             isomorphic=False,
             certificate="invariant profiles agree but no label-preserving order isomorphism exists",
         )
-    return IsoVerdict(isomorphic=True, mapping=tuple(sorted(mapping.items())))
+    return IsoVerdict(isomorphic=True, mapping=tuple(sorted((a._nodes[i], b._nodes[j]) for i, j in zip(plan[0], images))))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +483,7 @@ def census(s: FlowSystem) -> CensusReport:
     by_key: dict[tuple[int, ...], list[list]] = {}  # key -> [first poset, its ids, its plan, members] per class
     intern: dict[tuple, int] = {}
     order = []
-    for chosen, _ in _resolution_tree(s, leaves=False):
+    for chosen, _ in _resolution_tree(s):
         if depth := len(chosen):
             d = chosen[-1]
             p = at[d.p_name] = slots[d.orbit]

@@ -24,7 +24,7 @@ from msflow import (
     validate,
 )
 from msflow import poset
-from msflow.cli import run
+from msflow.cli import fixtures_dir, run
 
 from conftest import GOLDEN_DIR, all_msf_fixtures, fixture_path, load_fixture, structure
 
@@ -76,6 +76,24 @@ def test_os_errors_are_input_errors(tmp_path, argv):
     assert result.returncode == 1
     assert result.stderr.startswith("msflow: error:")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("big, lines_read", [(True, 1), (False, 0)], ids=["long-output-one-line-read", "short-output-none-read"])
+def test_a_closed_pipe_is_not_an_error(tmp_path, big, lines_read):
+    # As `msflow poset big.pos | head -1` does.  20,000 node lines outrun the
+    # pipe's buffer, so a write after the reader leaves fails inside the
+    # command; a short report may wait in the buffer for the flush at the end.
+    path = tmp_path / "big.pos"
+    path.write_text("".join(f"node n{i} {i % 3}\n" for i in range(20_000 if big else 2)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "msflow", "poset", str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
 
 
 def test_parse_error_is_an_input_error(capsys, tmp_path):
@@ -374,6 +392,18 @@ def test_census_output_matches_golden(capsys, name):
     code, out, _ = run_cli(capsys, "census", f"{name}.msf", "--json")
     assert code == 0
     assert out == (GOLDEN_DIR / f"census_{name}.json").read_text()
+
+
+def test_compare_output_matches_golden_on_every_fixture_pair(capsys):
+    # Exit code, stdout and stderr of ``msflow compare a b`` and of its --json
+    # form for every ordered pair of bundled fixtures, mapping lines included.
+    golden = json.loads((GOLDEN_DIR / "compare_pairs.json").read_text(encoding="utf-8"))
+    names = sorted(p.name for p in fixtures_dir().iterdir() if p.suffix in (".msf", ".pos"))
+    assert sorted(golden) == sorted(f"{a} {b}" for a in names for b in names)
+    for pair, expected in golden.items():
+        for mode, extra in (("text", ()), ("json", ("--json",))):
+            code, out, err = run_cli(capsys, "compare", *pair.split(), *extra)
+            assert {"exit": code, "stdout": out, "stderr": err} == expected[mode], (pair, mode)
 
 
 def test_census_with_a_clashing_sink_name(capsys, tmp_path):

@@ -13,7 +13,6 @@ from msflow import (
     D2Error,
     DiffCell,
     InvalidSystemError,
-    MatrixGF2,
     apply_choice,
     betti,
     build_complex,
@@ -26,7 +25,7 @@ from msflow import (
     validate,
 )
 from msflow import ejcomplex, perturb
-from msflow.ejcomplex import MINUS, PLAIN, PLUS, diff_cells
+from msflow.ejcomplex import MINUS, PLAIN, PLUS
 from msflow.gf2 import multiply
 
 from conftest import all_msf_fixtures, load_fixture, random_valid_system, torus_grid_text
@@ -353,9 +352,9 @@ def test_compare_rejects_an_image_outside_the_second_basis(fig5):
     assert refusal(c, c, corr) == "correspondence is not a bijection onto the second basis in degree 1"
 
 
-# The comparison before it summed permuted row masks, kept as the reference:
-# both matrices' nonzero entries as sets of (row, column) pairs, the right
-# one's mapped onto the left axes.
+# One matrix comparison as it was before matrices were compared by summing
+# permuted row masks, kept as the reference: both matrices' nonzero entries
+# as sets of (row, column) pairs, the right one's mapped onto the left axes.
 def reference_diff_cells(degree, left, right, left_axes, right_axes, correspondence):
     rows, cols = left_axes
     row_of = {correspondence[x]: i for i, x in enumerate(rows)}
@@ -431,38 +430,6 @@ def test_compare_matrices_matches_the_reference(data):
     assert comparison_outcome(compare_matrices, a, b, corr) == comparison_outcome(reference_compare_matrices, a, b, corr)
 
 
-@st.composite
-def compared_matrices(draw):
-    """diff_cells arguments: two matrices over axes joined by a random
-    degree-preserving bijection, the right one either random or the left one
-    carried across with a few entries flipped."""
-    n_rows, n_cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    rows = [BasisElement(f"r{i}", PLAIN, 1) for i in range(n_rows)]
-    cols = [BasisElement(f"c{j}", PLAIN, 2) for j in range(n_cols)]
-    right_rows = draw(st.permutations([BasisElement(f"x{i}", PLAIN, 1) for i in range(n_rows)]))
-    right_cols = draw(st.permutations([BasisElement(f"y{j}", PLAIN, 2) for j in range(n_cols)]))
-    correspondence = dict(zip(rows, draw(st.permutations(right_rows)))) | dict(zip(cols, draw(st.permutations(right_cols))))
-
-    def positions(**size):
-        if not (n_rows and n_cols):
-            return set()
-        return draw(st.sets(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)), **size))
-
-    left_ones, right_ones = positions(), positions()
-    if draw(st.booleans()):
-        row_at = {x: i for i, x in enumerate(right_rows)}
-        col_at = {y: j for j, y in enumerate(right_cols)}
-        right_ones = positions(max_size=2) ^ {(row_at[correspondence[rows[i]]], col_at[correspondence[cols[j]]]) for i, j in left_ones}
-    left, right = MatrixGF2.from_ones(n_rows, n_cols, left_ones), MatrixGF2.from_ones(n_rows, n_cols, right_ones)
-    return 2, left, right, (rows, cols), (right_rows, right_cols), correspondence
-
-
-@settings(max_examples=400, deadline=None)
-@given(compared_matrices())
-def test_diff_cells_matches_the_reference(args):
-    assert diff_cells(*args) == reference_diff_cells(*args)
-
-
 def claims_reports(s, orbit):
     return [apply_choice(s, d).claims_report for d in enumerate_choices_2d(s, orbit)]
 
@@ -474,7 +441,33 @@ def claims_reports(s, orbit):
 def test_claims_reports_match_the_reference_comparison(monkeypatch, text, orbit):
     reports = claims_reports(parse(text), orbit)
     assert len(reports) == 6  # three sinks downstream of each orbit
-    # verify_franks_claims reaches both comparisons through perturb's bindings
+    # verify_franks_claims reaches the matrix comparison through perturb's
+    # binding; these products are zero, so the reference decides the rest.
     monkeypatch.setattr(perturb, "compare_matrices", reference_compare_matrices)
-    monkeypatch.setattr(perturb, "diff_cells", reference_diff_cells)
     assert claims_reports(parse(text), orbit) == reports
+    assert all(report.products_zero for report in reports)
+
+
+def test_products_equal_matches_the_reference_where_a_product_is_nonzero():
+    # verify_franks_claims aligns the two d_1 . d_2 products only when one is
+    # nonzero; there its verdict must be the reference comparison's, with the
+    # products multiplied afresh and the orbit's copies sent to q and p.
+    claims, nonzero = 0, 0
+    for seed in range(3000):
+        s = random_valid_system(random.Random(seed))
+        if s.dimension != 2:
+            continue
+        for orbit in s.orbits():
+            for d in enumerate_choices_2d(s, orbit.name):
+                result = apply_choice(s, d)
+                claims += 1
+                if result.claims_report.products_zero:
+                    continue
+                nonzero += 1
+                before, after = build_complex(s), build_complex(result.system)
+                pair = {MINUS: d.q_name, PLUS: d.p_name}
+                corr = {x: BasisElement(pair[x.flavor], PLAIN, x.degree) if x.origin == d.orbit else x for level in before.bases for x in level}
+                products = [multiply(cx.boundary(1), cx.boundary(2)) for cx in (before, after)]
+                axes = [(cx.basis(0), cx.basis(2)) for cx in (before, after)]
+                assert result.claims_report.products_equal == (not reference_diff_cells(2, *products, *axes, corr)), (seed, d)
+    assert (claims, nonzero) == (2601, 454)

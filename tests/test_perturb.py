@@ -459,18 +459,43 @@ def test_family_enumerates_each_orbit_once(monkeypatch):
     assert len(got) == 216 and got == reference_resolutions(s)
 
 
+def counting_builds(monkeypatch) -> list:
+    """Patch _replace_orbit where the tree walk and resolve_all_detailed call
+    it; the returned list gets the orbit of each call."""
+    built, original = [], perturb_module._replace_orbit
+    monkeypatch.setattr(perturb_module, "_replace_orbit", lambda s, d: built.append(d.orbit) or original(s, d))
+    return built
+
+
+def test_resolve_all_detailed_builds_each_system_once(monkeypatch):
+    # Each partial resolution that enumerates the next orbit is built once,
+    # 6 + 36, and each of the 216 resolutions once from its parent.
+    built = counting_builds(monkeypatch)
+    assert len(resolve_all_detailed(orbits_over_sinks(3, 6, 3))) == 216
+    assert len(built) == 6 + 36 + 216 == 258
+    assert built.count("g2") == 216
+
+
 def test_census_builds_no_leaf_system(monkeypatch):
     # census walks the same tree as resolve_all_detailed, sharing each
     # orbit's choices, but builds a partial resolution only where the next
     # orbit's choices are enumerated: 6 + 36 = 42 before the last orbit,
     # none of the 216 leaves.
     calls = counting_enumeration(monkeypatch)
-    built = []
-    original = perturb_module._replace_orbit
-    monkeypatch.setattr(perturb_module, "_replace_orbit", lambda s, d: built.append(d.orbit) or original(s, d))
+    built = counting_builds(monkeypatch)
     assert census(orbits_over_sinks(3, 6, 3)).total == 216
     assert calls == ["g0", "g1", "g2"]
     assert len(built) <= 42
+
+
+def test_a_gradient_input_is_its_own_resolution(monkeypatch, fig3):
+    # With no orbit to resolve, the one resolution is the input itself, and
+    # nothing is built or enumerated.
+    gradient = apply_choice(fig3, enumerate_choices_2d(fig3, "gamma")[0]).system
+    calls, built = counting_enumeration(monkeypatch), counting_builds(monkeypatch)
+    [(system, chosen)] = resolve_all_detailed(gradient)
+    assert system is gradient and chosen == ()
+    assert calls == built == []
 
 
 REST_CYCLE = "dim 2\norbit g 1 untwisted\nrest s1 1\nrest s2 1\nrest q0 0\nconn g q0 1\nconn s1 s2 1\nconn s2 s1 1\nconn s1 q0 2\n"

@@ -373,12 +373,15 @@ def search(a: LabeledPoset, b: LabeledPoset, sig_a=None, sig_b=None):
     """_search_isomorphism called as is_isomorphic calls it: only when the
     signature multisets agree, from a's plan, with b's indices in name
     order.  ``sig_a``/``sig_b`` stand in for the signatures, as census's
-    interned ids do."""
+    interned ids do.  The witness comes back as b's node indices in plan
+    order and is named here, as a dict from a's node names to b's."""
     if sig_a is None:
         sig_a, sig_b = _signatures(a), _signatures(b)
     if sorted(sig_a) != sorted(sig_b):
         return None
-    return _search_isomorphism(a, b, _search_plan(a, sig_a), sig_b, sorted(range(len(b)), key=b.nodes.__getitem__))
+    plan = _search_plan(a, sig_a)
+    images = _search_isomorphism(a, b, plan, sig_b, sorted(range(len(b)), key=b.nodes.__getitem__))
+    return None if images is None else {a.nodes[i]: b.nodes[j] for i, j in zip(plan[0], images)}
 
 
 @contextmanager
@@ -392,9 +395,10 @@ def searches_checked():
     def checked(a, b, plan, sig_b, order):
         assert sorted(_signatures(a)) == sorted(_signatures(b))
         assert sorted(plan[1]) == sorted(sig_b) and len(plan[0]) == len(order) == len(b)
-        mapping = original(a, b, plan, sig_b, order)
-        found.append(mapping is not None)
-        return mapping
+        images = original(a, b, plan, sig_b, order)
+        assert images is None or sorted(images) == list(range(len(b)))  # one of b's indices per node of a
+        found.append(images is not None)
+        return images
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(poset_module, "_search_isomorphism", checked)
