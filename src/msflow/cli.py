@@ -270,13 +270,13 @@ def cmd_compare(args) -> int:
         "command": "compare",
         "inputs": [name_a, name_b],
         "isomorphic": verdict.isomorphic,
-        "mapping": verdict.mapping_dict() if verdict.mapping else None,
+        "mapping": verdict.mapping_dict() if verdict.isomorphic else None,
         "certificate": verdict.certificate,
         "verdict": summary,
     }
     lines = [f"compare {name_a} vs {name_b}", f"isomorphic: {'yes' if verdict.isomorphic else 'no'}"]
-    if verdict.mapping:
-        lines.append("mapping: " + " ".join(f"{x}->{y}" for x, y in verdict.mapping))
+    if verdict.isomorphic:
+        lines.append("mapping: " + (" ".join(f"{x}->{y}" for x, y in verdict.mapping) or "(empty)"))
     if verdict.certificate:
         lines.append(f"certificate: {verdict.certificate}")
     if summary is not None:

@@ -198,14 +198,16 @@ class Profile:
     _by_node: Sequence[tuple] = field(default=(), compare=False, repr=False)
 
 
-def _signatures(p: LabeledPoset) -> list[tuple]:
+def _label_masks(labels: Sequence[int]) -> list[tuple[int, int]]:
+    """Each label present, in ascending order, with the mask of its nodes."""
+    return [(l, sum(1 << i for i, k in enumerate(labels) if k == l)) for l in sorted(set(labels))]
+
+
+def _signatures(p: LabeledPoset, by_label: Sequence[tuple[int, int]] = ()) -> list[tuple]:
     """Each node's (label, label counts of its down-set, label counts of its
-    up-set), by node index; both sets include the node itself."""
-    label_mask: dict[int, int] = {}
-    for i, l in enumerate(p._labels):
-        label_mask[l] = label_mask.get(l, 0) | 1 << i
-    by_label = sorted(label_mask.items())
-    signatures = []
+    up-set), by node index; both sets include the node itself.  by_label, if
+    given, is _label_masks(p._labels)."""
+    signatures, by_label = [], by_label or _label_masks(p._labels)
     for l, down, up in zip(p._labels, p._down, p._up):
         below, above = [], []
         for k, nodes in by_label:
@@ -218,25 +220,27 @@ def _signatures(p: LabeledPoset) -> list[tuple]:
 
 
 def _profile(signatures: Sequence[tuple]) -> Profile:
-    """The profile read off the signatures: a down-set's size is the sum of
-    its label counts, and the incidence of x with label ``high`` is x's
-    up-set count at ``high``."""
-    by_label: dict[int, list[tuple]] = {}
-    for sig in signatures:
-        by_label.setdefault(sig[0], []).append(sig)
-    labels = sorted(by_label)
+    """The profile read off each distinct signature once, in order, for
+    every node that has it: a down-set's size is the sum of its label
+    counts, and x's incidence with label ``high`` its up-set count there."""
+    count = Counter(signatures)
+    ordered, sizes, incidence = [], {}, {}  # sorted signatures; down-set sizes by label, in order; incidences
+    for sig, n in sorted(count.items()):
+        l, below, above = sig
+        ordered += [sig] * n
+        sizes.setdefault(l, []).extend([sum(c for _, c in below)] * n)
+        for high, c in above:
+            incidence.setdefault((l, high), []).extend([c] * n)
     return Profile(
-        label_counts=tuple((l, len(by_label[l])) for l in labels),
-        downset_sizes=tuple(
-            (l, tuple(sorted(sum(c for _, c in down) for _, down, _ in by_label[l]))) for l in labels
-        ),
+        label_counts=tuple((l, len(got)) for l, got in sizes.items()),
+        downset_sizes=tuple((l, tuple(sorted(got))) for l, got in sizes.items()),
         incidence=tuple(
-            (low, high, tuple(sorted(dict(up).get(high, 0) for _, _, up in by_label[low])))
-            for low in labels
-            for high in labels
+            (low, high, (0,) * (len(sizes[low]) - len(got := incidence.get((low, high), ()))) + tuple(sorted(got)))
+            for low in sizes
+            for high in sizes
             if low < high
         ),
-        signatures=tuple(sorted(signatures)),
+        signatures=tuple(ordered),
         _by_node=signatures,
     )
 
@@ -288,15 +292,20 @@ def _profile_certificate(pa: Profile, pb: Profile) -> str | None:
 def _search_plan(a: LabeledPoset, sig_a: Sequence) -> tuple:
     """The part of the search that depends on side a alone: a's node indices
     in search order, most constrained first (fewest nodes of equal
-    signature, then by name); their signatures; and, per depth, how each
-    deeper node stands to that depth's node, as bytes of 0 (below it),
-    1 (above it) or 2 (apart)."""
+    signature, then by name); their signatures; and, per depth, bytes of 2
+    (apart) for the deeper nodes with 0 or 1 written where one lies below or
+    above that depth's node, so only comparable pairs cost a Python step."""
     count = Counter(sig_a)
     order = sorted(range(len(a)), key=lambda i: (count[sig_a[i]], a._nodes[i]))
-    stands = [
-        bytes([0 if a._down[i] >> k & 1 else 1 if a._up[i] >> k & 1 else 2 for k in order[depth + 1 :]])
-        for depth, i in enumerate(order)
-    ]
+    at = sorted(range(len(order)), key=order.__getitem__)  # each node's depth
+    stands, deeper = [], (1 << len(order)) - 1
+    for depth, i in enumerate(order):
+        deeper ^= 1 << i
+        row = bytearray(b"\2") * len(order)
+        for stand, related in ((0, a._down[i]), (1, a._up[i])):
+            for k in bits(related & deeper):
+                row[at[k]] = stand
+        stands.append(bytes(row[depth + 1 :]))
     return order, [sig_a[i] for i in order], stands
 
 
@@ -466,9 +475,10 @@ def census(s: FlowSystem) -> CensusReport:
     once and each step down adds q and then p to a copy of the parent's
     masks, leaving out edges to orbits not yet resolved: they come back
     with that orbit's choice.  A leaf's face poset is read off its masks,
-    its node signatures are interned as ints local to the call, and it is
-    searched only against the classes whose first poset has the same sorted
-    ids, its key, from a plan built on that class's first search."""
+    its node signatures are counted on label masks built once (every leaf
+    has the same labels) and interned as ints local to the call, and it is
+    searched only against the classes whose key, the sorted ids, it shares,
+    from a plan built on each class's first poset at its first search."""
     at, slots, labels = {}, {}, []  # each node's index and each orbit's p index, by name; the final labels
     for e in s.elements:
         (slots if e.is_orbit else at)[e.name] = len(labels)
@@ -502,9 +512,9 @@ def census(s: FlowSystem) -> CensusReport:
             continue
         if not order:
             nodes, labels = tuple(sorted(at, key=at.get)), tuple(labels)
-            order = sorted(range(len(nodes)), key=nodes.__getitem__)
+            order, by_label = sorted(range(len(nodes)), key=nodes.__getitem__), _label_masks(labels)
         poset = LabeledPoset.__new__(LabeledPoset)._adopt(nodes, labels, at, *masks[-1])
-        ids = [intern.setdefault(sig, len(intern)) for sig in _signatures(poset)]
+        ids = [intern.setdefault(sig, len(intern)) for sig in _signatures(poset, by_label)]
         bucket = by_key.setdefault(tuple(sorted(ids)), [])
         for cls in bucket:
             first, first_ids, plan, members = cls

@@ -200,6 +200,17 @@ def test_compare_self_is_identity(capsys):
     assert all(pair.split("->")[0] == pair.split("->")[1] for pair in mapping_line.split()[1:])
 
 
+def test_compare_of_empty_posets_shows_the_empty_witness(capsys, tmp_path):
+    empty = tmp_path / "empty.pos"
+    empty.write_text("")
+    code, out, _ = run_cli(capsys, "compare", str(empty), str(empty))
+    assert code == 0
+    assert out.splitlines() == ["compare empty vs empty", "isomorphic: yes", "mapping: (empty)"]
+    code, payload, _ = run_json(capsys, "compare", str(empty), str(empty))
+    assert code == 0
+    assert payload["isomorphic"] is True and payload["mapping"] == {}
+
+
 def test_compare_decides_once_and_agrees_with_the_library_verdict(capsys, monkeypatch):
     # The verdict line is read off the one isomorphism test the command runs.
     names = [name for name in all_msf_fixtures() if not load_fixture(name).orbits() and not validate(load_fixture(name))]

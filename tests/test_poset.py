@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from msflow import (
@@ -118,6 +118,43 @@ def chain(length: int, prefix: str) -> LabeledPoset:
 
 def test_covers_of_a_long_chain_are_its_links():
     assert chain(1200, "n").covers() == sorted((f"n{i}", f"n{i + 1}") for i in range(1199))
+
+
+def grid_poset(m: int, klein: bool = False) -> LabeledPoset:
+    """Face poset of the m x m square grid on the torus, or on the Klein
+    bottle, whose top row is glued to the bottom one reversed: vertices
+    (label 0) below edges (label 1) below squares (label 2)."""
+
+    def vertex(i, j):
+        if j == m:
+            i, j = (-i if klein else i), 0
+        return f"v{i % m}_{j}"
+
+    labels, relations, edges = {}, [], {}
+
+    def edge(kind, u, w):
+        key = (kind, frozenset((u, w)))
+        if key not in edges:
+            edges[key] = f"{kind}{len(edges)}"
+            labels[edges[key]] = 1
+            relations.extend([(u, edges[key]), (w, edges[key])])
+        return edges[key]
+
+    for i in range(m):
+        for j in range(m):
+            labels[vertex(i, j)] = 0
+    for i in range(m):
+        for j in range(m):
+            face = f"f{i}_{j}"
+            labels[face] = 2
+            sides = [
+                edge("h", vertex(i, j), vertex(i + 1, j)),
+                edge("h", vertex(i, j + 1), vertex(i + 1, j + 1)),
+                edge("w", vertex(i, j), vertex(i, j + 1)),
+                edge("w", vertex(i + 1, j), vertex(i + 1, j + 1)),
+            ]
+            relations += [(side, face) for side in sides]
+    return LabeledPoset(labels, relations)
 
 
 def test_downset_upset_and_len(two_cells):
@@ -256,6 +293,9 @@ def reference_profile(p: LabeledPoset):
 
 @settings(max_examples=200, deadline=None)
 @given(labeled_posets())
+@example(LabeledPoset({}))
+@example(grid_poset(4))
+@example(grid_poset(4, klein=True))
 def test_profile_matches_the_definition(p):
     profile = invariant_profile(p)
     assert (profile.label_counts, profile.downset_sizes, profile.incidence, profile.signatures) == reference_profile(p)
@@ -416,6 +456,56 @@ def test_is_isomorphic_searches_only_equal_signature_multisets(p, q, rng, copy):
         verdict = is_isomorphic(p, q)
     assert len(found) == (sorted(_signatures(p)) == sorted(_signatures(q)))
     assert found[-1:] == ([verdict.isomorphic] if found else [])
+
+
+def reference_plan(a: LabeledPoset, sig_a):
+    """The search plan by its definition, one step per pair of depths: the
+    order, its signatures, and how each deeper node stands to each depth's
+    node (0 below, 1 above, 2 apart)."""
+    count = Counter(sig_a)
+    order = sorted(range(len(a)), key=lambda i: (count[sig_a[i]], a.nodes[i]))
+    stands = [
+        bytes([0 if a._down[i] >> k & 1 else 1 if a._up[i] >> k & 1 else 2 for k in order[depth + 1 :]])
+        for depth, i in enumerate(order)
+    ]
+    return order, [sig_a[i] for i in order], stands
+
+
+def assert_plan_is_the_reference(a: LabeledPoset, sig_a):
+    plan = _search_plan(a, sig_a)
+    assert plan == reference_plan(a, sig_a)
+    assert all(type(row) is bytes for row in plan[2])
+    return plan
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_posets(max_nodes=12))
+def test_search_plan_matches_the_definition(p):
+    assert_plan_is_the_reference(p, _signatures(p))
+
+
+@pytest.mark.parametrize("klein", [False, True])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_search_plan_matches_the_definition_on_grid_face_posets(m, klein):
+    # Names without coordinates, declared in a shuffled order.
+    rng = random.Random(m)
+    grid = grid_poset(m, klein)
+    names = rng.sample([f"x{i}" for i in range(len(grid))], len(grid))
+    p = shuffled(grid, dict(zip(grid.nodes, names)), rng.sample(list(grid.nodes), len(grid)))
+    assert_plan_is_the_reference(p, _signatures(p))
+
+
+def test_census_plans_match_the_definition(monkeypatch):
+    # census plans each class's first poset on the ids it interned.
+    planned = []
+
+    def checked(a, ids):
+        planned.append(a)
+        return assert_plan_is_the_reference(a, ids)
+
+    monkeypatch.setattr(poset_module, "_search_plan", checked)
+    census(orbits_over_sinks(3, 4, 2))
+    assert planned
 
 
 def reference_search(a: LabeledPoset, b: LabeledPoset):
@@ -798,43 +888,6 @@ def test_check_mapping_matches_the_definition(p, rng, damage):
     elif damage == 3:
         mapping["extra"] = "m0"
     assert check_mapping(p, other, mapping) == reference_check_mapping(p, other, mapping)
-
-
-def grid_poset(m: int, klein: bool = False) -> LabeledPoset:
-    """Face poset of the m x m square grid on the torus, or on the Klein
-    bottle, whose top row is glued to the bottom one reversed: vertices
-    (label 0) below edges (label 1) below squares (label 2)."""
-
-    def vertex(i, j):
-        if j == m:
-            i, j = (-i if klein else i), 0
-        return f"v{i % m}_{j}"
-
-    labels, relations, edges = {}, [], {}
-
-    def edge(kind, u, w):
-        key = (kind, frozenset((u, w)))
-        if key not in edges:
-            edges[key] = f"{kind}{len(edges)}"
-            labels[edges[key]] = 1
-            relations.extend([(u, edges[key]), (w, edges[key])])
-        return edges[key]
-
-    for i in range(m):
-        for j in range(m):
-            labels[vertex(i, j)] = 0
-    for i in range(m):
-        for j in range(m):
-            face = f"f{i}_{j}"
-            labels[face] = 2
-            sides = [
-                edge("h", vertex(i, j), vertex(i + 1, j)),
-                edge("h", vertex(i, j + 1), vertex(i + 1, j + 1)),
-                edge("w", vertex(i, j), vertex(i, j + 1)),
-                edge("w", vertex(i + 1, j), vertex(i + 1, j + 1)),
-            ]
-            relations += [(side, face) for side in sides]
-    return LabeledPoset(labels, relations)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
