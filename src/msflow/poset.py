@@ -10,10 +10,11 @@ verdict vocabulary: a mismatch certifies NOT equivalent, a match is only
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
 from .ejcomplex import InvalidSystemError
@@ -49,10 +50,13 @@ class LabeledPoset:
     def _adopt(self, nodes, labels, index, down, up) -> "LabeledPoset":
         """Take nodes, labels, name->index map and closed masks as they are, once antisymmetry holds."""
         self._nodes, self._labels, self._index, self._down, self._up = nodes, labels, index, down, up
-        for i, a in enumerate(nodes):
-            if cycle := down[i] & up[i] & ~(1 << i):
-                b = nodes[bits(cycle)[0]]
-                raise ValueError(f"not antisymmetric: {a} <= {b} and {b} <= {a}")
+        # Each node's down-set and up-set meet in the node itself, and only
+        # there, exactly when this sum is one per node; the loop names a pair.
+        if sum(map(int.bit_count, map(and_, down, up))) != len(nodes):
+            for i, a in enumerate(nodes):
+                if cycle := down[i] & up[i] & ~(1 << i):
+                    b = nodes[bits(cycle)[0]]
+                    raise ValueError(f"not antisymmetric: {a} <= {b} and {b} <= {a}")
         return self
 
     @property
@@ -203,11 +207,10 @@ def _label_masks(labels: Sequence[int]) -> list[tuple[int, int]]:
     return [(l, sum(1 << i for i, k in enumerate(labels) if k == l)) for l in sorted(set(labels))]
 
 
-def _signatures(p: LabeledPoset, by_label: Sequence[tuple[int, int]] = ()) -> list[tuple]:
+def _signatures(p: LabeledPoset) -> list[tuple]:
     """Each node's (label, label counts of its down-set, label counts of its
-    up-set), by node index; both sets include the node itself.  by_label, if
-    given, is _label_masks(p._labels)."""
-    signatures, by_label = [], by_label or _label_masks(p._labels)
+    up-set), by node index; both sets include the node itself."""
+    signatures, by_label = [], _label_masks(p._labels)
     for l, down, up in zip(p._labels, p._down, p._up):
         below, above = [], []
         for k, nodes in by_label:
@@ -474,11 +477,14 @@ def census(s: FlowSystem) -> CensusReport:
     order, an orbit's p and q in its slot, so the orbit-free part is closed
     once and each step down adds q and then p to a copy of the parent's
     masks, leaving out edges to orbits not yet resolved: they come back
-    with that orbit's choice.  A leaf's face poset is read off its masks,
-    its node signatures are counted on label masks built once (every leaf
-    has the same labels) and interned as ints local to the call, and it is
-    searched only against the classes whose key, the sorted ids, it shares,
-    from a plan built on each class's first poset at its first search."""
+    with that orbit's choice.  A choice's neighbours are looked up once per
+    call, as every branch gives a name the same index.  A leaf's face poset
+    is read off its masks, and each node's flat (label, count per label in
+    its down-set, then in its up-set), counted column by column, is
+    interned as an int local to the call: every leaf has the same labels,
+    so these ids group nodes as _signatures would.  A leaf is searched only
+    against the classes whose key, the sorted ids, it shares, from a plan
+    built on each class's first poset at its first search."""
     at, slots, labels = {}, {}, []  # each node's index and each orbit's p index, by name; the final labels
     for e in s.elements:
         (slots if e.is_orbit else at)[e.name] = len(labels)
@@ -491,18 +497,22 @@ def census(s: FlowSystem) -> CensusReport:
     masks = [closure_masks(children)]  # (down, up) at each depth of the current branch
     classes: list[list] = []  # each class's members
     by_key: dict[tuple[int, ...], list[list]] = {}  # key -> [first poset, its ids, its plan, members] per class
-    intern: dict[tuple, int] = {}
+    intern = defaultdict(itertools.count().__next__)  # a node's tuple -> the next int, at its first lookup
+    rows: dict[int, tuple] = {}  # id(choice) -> (the choice, kept so its id is not reused; (index, below, above) of q, p)
     order = []
     for chosen, _ in _resolution_tree(s):
         if depth := len(chosen):
             d = chosen[-1]
-            p = at[d.p_name] = slots[d.orbit]
-            at[d.q_name] = p + 1
-            later = orbits[depth:]  # edges to these come back with their choices
-            down, up = (list(m) for m in masks[depth - 1])
-            for v, below, above in ((p + 1, d.q_out, d.q_in), (p, ((d.q_name, 2),) + d.p_out, d.p_in)):
-                dv = reduce(or_, [down[at[x]] for x, _ in below if x not in later], 1 << v)
-                uv = reduce(or_, [up[at[x]] for x, _ in above if x not in later], 1 << v)
+            if id(d) not in rows:
+                p = at[d.p_name] = slots[d.orbit]
+                at[d.q_name] = p + 1
+                later = orbits[depth:]  # edges to these come back with their choices
+                look = lambda side: [at[x] for x, _ in side if x not in later]  # noqa: E731
+                rows[id(d)] = d, ((p + 1, look(d.q_out), look(d.q_in)), (p, look(((d.q_name, 2),) + d.p_out), look(d.p_in)))
+            down, up = map(list, masks[depth - 1])
+            for v, below, above in rows[id(d)][1]:
+                dv = reduce(or_, map(down.__getitem__, below), 1 << v)
+                uv = reduce(or_, map(up.__getitem__, above), 1 << v)
                 for x in bits(uv):
                     down[x] |= dv
                 for y in bits(dv):
@@ -512,9 +522,10 @@ def census(s: FlowSystem) -> CensusReport:
             continue
         if not order:
             nodes, labels = tuple(sorted(at, key=at.get)), tuple(labels)
-            order, by_label = sorted(range(len(nodes)), key=nodes.__getitem__), _label_masks(labels)
+            order, by_label = sorted(range(len(nodes)), key=nodes.__getitem__), [m for _, m in _label_masks(labels)]
         poset = LabeledPoset.__new__(LabeledPoset)._adopt(nodes, labels, at, *masks[-1])
-        ids = [intern.setdefault(sig, len(intern)) for sig in _signatures(poset, by_label)]
+        columns = [list(map(int.bit_count, map(m.__and__, side))) for side in masks[-1] for m in by_label]
+        ids = list(map(intern.__getitem__, zip(labels, *columns)))
         bucket = by_key.setdefault(tuple(sorted(ids)), [])
         for cls in bucket:
             first, first_ids, plan, members = cls

@@ -29,7 +29,7 @@ from msflow import perturb as perturb_module
 from msflow import poset as poset_module
 from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT, _search_isomorphism, _search_plan, _signatures
 
-from conftest import fixture_path, load_fixture, orbits_over_sinks, shuffled, systems_with_orbits
+from conftest import fixture_path, load_fixture, orbits_over_sinks, random_valid_system, shuffled, systems_with_orbits
 
 
 def load_pos(name):
@@ -744,6 +744,74 @@ def test_census_searches_only_equal_signature_multisets(k, m, d):
     assert found.count(True) == report.total - len(report.classes)
 
 
+@contextmanager
+def searches_recorded():
+    """Record each _search_plan and _search_isomorphism call: the events, as
+    ("plan", a's down-sets) and ("search", a's down-sets, b's, found), and
+    for each poset whose ids a call hands over, (its id multiset, its sorted
+    signatures)."""
+    events, keys = [], []
+    plan, search = poset_module._search_plan, poset_module._search_isomorphism
+
+    def planned(a, sig_a):
+        events.append(("plan", tuple(a._down)))
+        keys.append((tuple(sorted(sig_a)), tuple(sorted(_signatures(a)))))
+        return plan(a, sig_a)
+
+    def searched(a, b, plan, sig_b, order):
+        images = search(a, b, plan, sig_b, order)
+        events.append(("search", tuple(a._down), tuple(b._down), images is not None))
+        keys.append((tuple(sorted(sig_b)), tuple(sorted(_signatures(b)))))
+        return images
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poset_module, "_search_plan", planned)
+        patch.setattr(poset_module, "_search_isomorphism", searched)
+        yield events, keys
+
+
+def census_keyed_on_signatures(s):
+    """census as it was before it read ids off its masks: each resolution's
+    face poset keyed on its sorted signature tuples, searched against the
+    classes under its key from a plan built at the class's first search."""
+    by_key, classes = {}, []
+    for system, choices in resolve_all_detailed(s):
+        poset = face_poset(system)
+        sig = _signatures(poset)
+        order = sorted(range(len(poset)), key=poset.nodes.__getitem__)
+        bucket = by_key.setdefault(tuple(sorted(sig)), [])
+        for cls in bucket:
+            cls[2] = cls[2] or poset_module._search_plan(cls[0], cls[1])
+            if poset_module._search_isomorphism(cls[0], poset, cls[2], sig, order) is not None:
+                cls[3].append(choices)
+                break
+        else:
+            bucket.append([poset, sig, (), [choices]])
+            classes.append(bucket[-1][3])
+    return [tuple(members) for members in classes]
+
+
+def test_census_ids_partition_leaves_as_signatures():
+    # Every leaf's poset is the face poset of its resolution, node for
+    # node, so census and the reference make the same searches exactly when
+    # the ids group leaves as the signatures do: a merged group adds a
+    # search, a split one drops one.  Every id multiset a call hands over
+    # belongs to one sorted signature multiset, and the other way round.
+    rng = random.Random(18)
+    systems = [orbits_over_sinks(3, 4, 2), orbits_over_sinks(2, 6, 5), orbits_over_sinks(3, 6, 3)]
+    systems += [s for s in (random_valid_system(rng) for _ in range(200)) if s.dimension == 2 or not s.orbits()]
+    searched = 0
+    for s in systems:
+        with searches_recorded() as (events, keys):
+            got = [cls.members for cls in census(s).classes]
+        with searches_recorded() as (expected, _):
+            assert got == census_keyed_on_signatures(s)
+        assert events == expected
+        assert len(dict(keys)) == len(set(keys)) == len({sig for _, sig in keys})
+        searched += len(events)
+    assert searched > 1000
+
+
 def census_shape(report):
     return report.total, len(report.classes), sorted(cls.size for cls in report.classes)
 
@@ -928,3 +996,45 @@ def test_covers_of_a_long_chain_do_not_depend_on_declaration_order(declared):
 def test_cyclic_relations_name_the_first_node_on_the_cycle():
     with pytest.raises(ValueError, match=r"^not antisymmetric: b <= c and c <= b$"):
         LabeledPoset({"a": 0, "b": 0, "c": 0, "d": 0}, [("a", "b"), ("d", "c"), ("c", "d"), ("b", "c"), ("d", "b")])
+
+
+def reference_antisymmetry(labels, relations) -> str | None:
+    """The per-node check, on the depth-first down-sets: the first node in
+    declaration order whose down-set and up-set share another node, named
+    with the first such node; None when the relations are antisymmetric."""
+    nodes = list(labels)
+    down = reference_downsets(labels, relations)
+    for a in nodes:
+        if cycle := [b for b in nodes if b != a and b in down[a] and a in down[b]]:
+            return f"not antisymmetric: {a} <= {cycle[0]} and {cycle[0]} <= {a}"
+    return None
+
+
+@st.composite
+def digraph_inputs(draw, max_nodes: int = 8):
+    """Labels (in a shuffled declaration order) and relations between
+    distinct nodes: upward only when ``acyclic`` is drawn, any way otherwise,
+    so cycles of every length turn up."""
+    count = draw(st.integers(0, max_nodes))
+    names = draw(st.permutations([f"n{i}" for i in range(count)]))
+    labels = {name: draw(st.integers(0, 3)) for name in names}
+    acyclic = draw(st.booleans())
+    pairs = [(f"n{i}", f"n{j}") for i in range(count) for j in range(count) if (i < j if acyclic else i != j)]
+    relations = draw(st.lists(st.sampled_from(pairs), max_size=2 * count)) if pairs else []
+    return labels, relations
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraph_inputs())
+def test_antisymmetry_refusal_matches_the_per_node_check(inputs):
+    labels, relations = inputs
+    expected = reference_antisymmetry(labels, relations)
+    text = "".join(f"node {x} {l}\n" for x, l in labels.items()) + "".join(f"lt {a} {b}\n" for a, b in relations)
+    for build in (lambda: LabeledPoset(labels, relations), lambda: parse_poset(text)):
+        try:
+            p = build()
+        except ValueError as err:
+            assert str(err) == expected
+        else:
+            assert expected is None
+            assert p.nodes == tuple(labels)
