@@ -202,9 +202,7 @@ def apply_choice(s: FlowSystem, d: ChoiceDescriptor) -> PerturbationResult:
 
 
 def _replace_orbit(s: FlowSystem, d: ChoiceDescriptor) -> FlowSystem:
-    """The system apply_choice builds, for a d that validate_choice admits:
-    the kept pairs come from a checked map and the new ones from a checked
-    descriptor onto fresh names, so the counts are adopted unchecked."""
+    """The system apply_choice builds, for a d that validate_choice admits."""
     gamma = s.element(d.orbit)
     elements: list[CriticalElement] = []
     for e in s.elements:
@@ -224,7 +222,7 @@ def _replace_orbit(s: FlowSystem, d: ChoiceDescriptor) -> FlowSystem:
         counts[(source, d.p_name)] = c
     for source, c in d.q_in:
         counts[(source, d.q_name)] = c
-    return replace(s, elements=tuple(elements), connections=ConnectionMap.__new__(ConnectionMap)._adopt(counts))
+    return replace(s, elements=tuple(elements), connections=ConnectionMap(counts))
 
 
 def enumerate_choices_2d(s: FlowSystem, orbit_name: str) -> list[ChoiceDescriptor]:

@@ -48,10 +48,12 @@ class LabeledPoset:
         self._adopt(nodes, tuple(label_map.values()), index, *closure_masks(children))
 
     def _adopt(self, nodes, labels, index, down, up) -> "LabeledPoset":
-        """Take nodes, labels, name->index map and closed masks as they are, once antisymmetry holds."""
+        """Take nodes, labels, name->index map and closed, reflexive masks
+        (bit i set in down[i] and in up[i]) as they are, once antisymmetry holds."""
         self._nodes, self._labels, self._index, self._down, self._up = nodes, labels, index, down, up
-        # Each node's down-set and up-set meet in the node itself, and only
-        # there, exactly when this sum is one per node; the loop names a pair.
+        # The masks are reflexive, so each node's down-set and up-set meet in
+        # the node itself; they meet nowhere else exactly when this sum is one
+        # per node.  The loop names a pair.
         if sum(map(int.bit_count, map(and_, down, up))) != len(nodes):
             for i, a in enumerate(nodes):
                 if cycle := down[i] & up[i] & ~(1 << i):
