@@ -204,54 +204,46 @@ class Profile:
     _by_node: Sequence[tuple] = field(default=(), compare=False, repr=False)
 
 
-def _label_masks(labels: Sequence[int]) -> list[tuple[int, int]]:
-    """Each label present, in ascending order, with the mask of its nodes."""
-    return [(l, sum(1 << i for i, k in enumerate(labels) if k == l)) for l in sorted(set(labels))]
+def _label_masks(labels: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The labels present, in ascending order, and the mask of each one's nodes."""
+    present = sorted(set(labels))
+    return present, [sum(1 << i for i, k in enumerate(labels) if k == l) for l in present]
 
 
-def _signatures(p: LabeledPoset) -> list[tuple]:
-    """Each node's (label, label counts of its down-set, label counts of its
-    up-set), by node index; both sets include the node itself."""
-    signatures, by_label = [], _label_masks(p._labels)
-    for l, down, up in zip(p._labels, p._down, p._up):
-        below, above = [], []
-        for k, nodes in by_label:
-            if c := (down & nodes).bit_count():
-                below.append((k, c))
-            if c := (up & nodes).bit_count():
-                above.append((k, c))
-        signatures.append((l, tuple(below), tuple(above)))
-    return signatures
+def _signatures(p: LabeledPoset, masks: Sequence[int]) -> list[tuple]:
+    """Each node's signature, by node index: its label, then how many of
+    each mask's nodes (see _label_masks) lie in its down-set, then in its
+    up-set, zeros included; both sets include the node itself."""
+    return list(zip(p._labels, *(map(int.bit_count, map(m.__and__, side)) for side in (p._down, p._up) for m in masks)))
 
 
-def _profile(signatures: Sequence[tuple]) -> Profile:
+def _profile(signatures: Sequence[tuple], present: Sequence[int]) -> Profile:
     """The profile read off each distinct signature once, in order, for
-    every node that has it: a down-set's size is the sum of its label
-    counts, and x's incidence with label ``high`` its up-set count there."""
-    count = Counter(signatures)
-    ordered, sizes, incidence = [], {}, {}  # sorted signatures; down-set sizes by label, in order; incidences
-    for sig, n in sorted(count.items()):
-        l, below, above = sig
+    every node that has it: a down-set's size is the sum of its down-set
+    counts, and the incidence of label ``low`` with label ``high`` is the
+    up-set count of ``high`` on each node labeled ``low``."""
+    k = len(present)
+    ordered, sizes = [], {l: [] for l in present}  # sorted signatures; down-set sizes by label
+    incidence = {(low, high): [] for low in present for high in present if low < high}
+    for sig, n in sorted(Counter(signatures).items()):
+        l = sig[0]
         ordered += [sig] * n
-        sizes.setdefault(l, []).extend([sum(c for _, c in below)] * n)
-        for high, c in above:
-            incidence.setdefault((l, high), []).extend([c] * n)
+        sizes[l] += [sum(sig[1 : k + 1])] * n
+        for high, c in zip(present, sig[k + 1 :]):
+            if l < high:
+                incidence[l, high] += [c] * n
     return Profile(
         label_counts=tuple((l, len(got)) for l, got in sizes.items()),
         downset_sizes=tuple((l, tuple(sorted(got))) for l, got in sizes.items()),
-        incidence=tuple(
-            (low, high, (0,) * (len(sizes[low]) - len(got := incidence.get((low, high), ()))) + tuple(sorted(got)))
-            for low in sizes
-            for high in sizes
-            if low < high
-        ),
+        incidence=tuple((low, high, tuple(sorted(got))) for (low, high), got in incidence.items()),
         signatures=tuple(ordered),
         _by_node=signatures,
     )
 
 
 def invariant_profile(p: LabeledPoset) -> Profile:
-    return _profile(_signatures(p))
+    present, masks = _label_masks(p._labels)
+    return _profile(_signatures(p, masks), present)
 
 
 @dataclass(frozen=True)
@@ -321,11 +313,10 @@ def _search_isomorphism(
     each node onto one of equal signature: b's node index for each of a's
     nodes in plan order, or None.  ``plan`` is ``_search_plan(a, sig_a)``;
     ``sig_a``/``sig_b`` list the nodes' signatures by index (see
-    _signatures), or ids both sides share for them; ``order`` is b's node
-    indices in name order.  The caller vouches that the two signature
-    multisets agree: is_isomorphic searches only when the profiles do,
-    census only within a key.  The stack is explicit, so long chains need
-    no recursion.
+    _signatures); ``order`` is b's node indices in name order.  The caller
+    vouches that the two signature multisets agree: is_isomorphic searches
+    only when the profiles do, census only within a key.  The stack is
+    explicit, so long chains need no recursion.
 
     Forward checking (Haralick & Elliott, 1980): each depth keeps a domain,
     the mask of b's nodes still open to it.  Assigning x -> y narrows every
@@ -481,12 +472,11 @@ def census(s: FlowSystem) -> CensusReport:
     masks, leaving out edges to orbits not yet resolved: they come back
     with that orbit's choice.  A choice's neighbours are looked up once per
     call, as every branch gives a name the same index.  A leaf's face poset
-    is read off its masks, and each node's flat (label, count per label in
-    its down-set, then in its up-set), counted column by column, is
-    interned as an int local to the call: every leaf has the same labels,
-    so these ids group nodes as _signatures would.  A leaf is searched only
-    against the classes whose key, the sorted ids, it shares, from a plan
-    built on each class's first poset at its first search."""
+    is read off its masks, and each node's signature (see _signatures, on
+    label masks built once per call) is interned as an int local to the
+    call.  A leaf is searched only against the classes whose key, the
+    sorted ids, it shares, from a plan built on each class's first poset at
+    its first search."""
     at, slots, labels = {}, {}, []  # each node's index and each orbit's p index, by name; the final labels
     for e in s.elements:
         (slots if e.is_orbit else at)[e.name] = len(labels)
@@ -499,7 +489,7 @@ def census(s: FlowSystem) -> CensusReport:
     masks = [closure_masks(children)]  # (down, up) at each depth of the current branch
     classes: list[list] = []  # each class's members
     by_key: dict[tuple[int, ...], list[list]] = {}  # key -> [first poset, its ids, its plan, members] per class
-    intern = defaultdict(itertools.count().__next__)  # a node's tuple -> the next int, at its first lookup
+    intern = defaultdict(itertools.count().__next__)  # a signature -> the next int, at its first lookup
     rows: dict[int, tuple] = {}  # id(choice) -> (the choice, kept so its id is not reused; (index, below, above) of q, p)
     order = []
     for chosen, _ in _resolution_tree(s):
@@ -524,10 +514,9 @@ def census(s: FlowSystem) -> CensusReport:
             continue
         if not order:
             nodes, labels = tuple(sorted(at, key=at.get)), tuple(labels)
-            order, by_label = sorted(range(len(nodes)), key=nodes.__getitem__), [m for _, m in _label_masks(labels)]
+            order, by_label = sorted(range(len(nodes)), key=nodes.__getitem__), _label_masks(labels)[1]
         poset = LabeledPoset.__new__(LabeledPoset)._adopt(nodes, labels, at, *masks[-1])
-        columns = [list(map(int.bit_count, map(m.__and__, side))) for side in masks[-1] for m in by_label]
-        ids = list(map(intern.__getitem__, zip(labels, *columns)))
+        ids = list(map(intern.__getitem__, _signatures(poset, by_label)))
         bucket = by_key.setdefault(tuple(sorted(ids)), [])
         for cls in bucket:
             first, first_ids, plan, members = cls

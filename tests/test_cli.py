@@ -50,6 +50,13 @@ def test_validate_ok(capsys):
     assert out == "validate fig5: OK (7 elements, 10 connections)\n"
 
 
+def test_validate_accepts_a_leading_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "fig5.msf"
+    path.write_bytes("\ufeff".encode() + fixture_path("fig5.msf").read_bytes())
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (0, "validate fig5: OK (7 elements, 10 connections)\n")
+
+
 def test_validate_reports_violations_with_exit_one(capsys, tmp_path):
     bad = tmp_path / "bad.msf"
     bad.write_text("dim 2\nrest a 1\nrest b 1\nconn a b 1\n")

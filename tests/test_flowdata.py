@@ -110,6 +110,39 @@ def test_parse_accepts_bytes():
     assert [e.name for e in s.elements] == ["q"]
 
 
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize(
+    "parser, text",
+    [
+        (parse, fixture_path("fig3.msf").read_bytes()),
+        (parse_choice, b"orbit g\nnew p q\npout a 1\nqin b 2\n"),
+        (parse_poset, fixture_path("fig2-Y.pos").read_bytes()),
+    ],
+    ids=["msf", "msc", "pos"],
+)
+def test_a_leading_byte_order_mark_is_dropped(parser, text):
+    assert parser(BOM + text) == parser(text)
+
+
+@pytest.mark.parametrize(
+    "parser, text, line",
+    [
+        (parse, BOM + BOM + b"dim 2\n", 1),
+        (parse, b"dim 2\n" + BOM + b"rest q 0\n", 2),
+        (parse, b"dim 2\nrest q" + BOM + b" 0\n", 2),
+        (parse_choice, b"orbit g\n" + BOM + b"new p q\n", 2),
+        (parse_poset, b"node a 0\n" + BOM + b"node b 1\n", 2),
+        (parse_poset, b"node a 0" + BOM + b"\n", 1),
+    ],
+)
+def test_a_byte_order_mark_elsewhere_is_refused(parser, text, line):
+    with pytest.raises(ParseError) as exc:
+        parser(text)
+    assert exc.value.line == line
+
+
 @pytest.mark.parametrize(
     "text, needle",
     [

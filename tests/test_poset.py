@@ -27,7 +27,7 @@ from msflow import (
 from msflow import ConnectionMap, ParseError
 from msflow import perturb as perturb_module
 from msflow import poset as poset_module
-from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT, _search_isomorphism, _search_plan, _signatures
+from msflow.poset import INCONCLUSIVE, NOT_EQUIVALENT, _label_masks, _search_isomorphism, _search_plan, _signatures
 
 from conftest import fixture_path, load_fixture, orbits_over_sinks, random_valid_system, shuffled, systems_with_orbits
 
@@ -269,14 +269,29 @@ def test_profile_of_empty_poset():
 
 
 def reference_signature(p: LabeledPoset, name: str):
+    """The node's label, then how many nodes of each label present lie in
+    its down-set, then in its up-set, zeros included."""
+    present = sorted({p.label(x) for x in p.nodes})
+    down = Counter(p.label(x) for x in p.downset(name))
+    up = Counter(p.label(x) for x in p.upset(name))
+    return (p.label(name), *(down[l] for l in present), *(up[l] for l in present))
+
+
+def reference_signatures(p: LabeledPoset) -> list[tuple]:
+    return [reference_signature(p, x) for x in p.nodes]
+
+
+def nested_signature(p: LabeledPoset, name: str):
+    """The signature in the form that leaves the zeros out: (label, label
+    counts of the down-set, label counts of the up-set)."""
     down = Counter(p.label(x) for x in p.downset(name))
     up = Counter(p.label(x) for x in p.upset(name))
     return (p.label(name), tuple(sorted(down.items())), tuple(sorted(up.items())))
 
 
-def reference_profile(p: LabeledPoset):
+def reference_profile(p: LabeledPoset, signature=reference_signature):
     """The profile computed straight from down-sets and up-sets, one
-    invariant at a time."""
+    invariant at a time, with each node's ``signature``."""
     labels = sorted({p.label(x) for x in p.nodes})
     by_label = {l: [x for x in p.nodes if p.label(x) == l] for l in labels}
     label_counts = tuple((l, len(by_label[l])) for l in labels)
@@ -287,7 +302,7 @@ def reference_profile(p: LabeledPoset):
         for high in labels
         if low < high
     )
-    signatures = tuple(sorted(reference_signature(p, x) for x in p.nodes))
+    signatures = tuple(sorted(signature(p, x) for x in p.nodes))
     return label_counts, downset_sizes, incidence, signatures
 
 
@@ -299,7 +314,62 @@ def reference_profile(p: LabeledPoset):
 def test_profile_matches_the_definition(p):
     profile = invariant_profile(p)
     assert (profile.label_counts, profile.downset_sizes, profile.incidence, profile.signatures) == reference_profile(p)
-    assert _signatures(p) == [reference_signature(p, x) for x in p.nodes]
+    assert profile._by_node == reference_signatures(p)
+
+
+def relabelled(p: LabeledPoset, relabel: dict[int, int]) -> LabeledPoset:
+    """p with each label l replaced by ``relabel.get(l, l)``."""
+    labels = {x: relabel.get(l, l) for x, l in p.labels().items()}
+    return LabeledPoset(labels, [(a, b) for b in p.nodes for a in p.downset(b)])
+
+
+# Maps of the labels 0-3 that labeled_posets draws: onto labels with gaps,
+# a huge one, or fewer labels.
+RELABEL = st.lists(st.sampled_from([0, 1, 2, 3, 5, 10**20]), min_size=4, max_size=4).map(lambda got: dict(enumerate(got)))
+EDGE = LabeledPoset({"x": 0, "y": 1}, [("x", "y")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    labeled_posets(max_nodes=8),
+    labeled_posets(max_nodes=8),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["drawn", "copy", "moved"]),
+    RELABEL,
+    RELABEL,
+)
+@example(EDGE, EDGE, random.Random(0), "drawn", {1: 5}, {1: 10**20})
+@example(EDGE, EDGE, random.Random(0), "copy", {1: 5}, {1: 5})
+@example(EDGE, EDGE, random.Random(0), "copy", {1: 10**20}, {1: 10**20})
+@example(EDGE, LabeledPoset({"x": 0, "y": 1}), random.Random(0), "drawn", {1: 5}, {1: 5})
+@example(LabeledPoset({"x": 0, "y": 5, "z": 3}, [("x", "y")]), EDGE, random.Random(1), "copy", {}, {})
+@example(  # equal down-sets, told apart by the up-sets alone
+    LabeledPoset({"x": 0, "y": 0, "z": 1, "w": 1}, [("x", "z"), ("x", "w")]),
+    LabeledPoset({"x": 0, "y": 0, "z": 1, "w": 1}, [("x", "z"), ("y", "w")]),
+    random.Random(0),
+    "drawn",
+    {1: 10**20},
+    {1: 10**20},
+)
+def test_profiles_agree_exactly_when_the_nested_reference_profiles_do(p, q, rng, mode, relabel_p, relabel_q):
+    # q is drawn, or a renamed shuffled copy of p, or p with one cover moved
+    # to another lower node of the same label (same label counts, mostly
+    # the same down-sets); then each side's labels are mapped, to labels
+    # with gaps or a huge one, or merged.  The flat signatures carry a count
+    # for every label present, zeros included, and the nested ones leave
+    # the zeros out: equal profiles mean the same.
+    if mode == "copy":
+        q = shuffled(p, dict(zip(p.nodes, rng.sample(string.ascii_lowercase, len(p)))), rng.sample(list(p.nodes), len(p)))
+    elif mode == "moved" and (covers := p.covers()):
+        low, high = rng.choice(covers)
+        other = rng.choice([x for x in p.nodes if p.label(x) == p.label(low) and x != high])
+        try:
+            q = LabeledPoset(p.labels(), [c for c in covers if c != (low, high)] + [(other, high)])
+        except ValueError:  # a cycle
+            q = p
+    a, b = relabelled(p, relabel_p), relabelled(q, relabel_q)
+    nested = lambda x: reference_profile(x, nested_signature)  # noqa: E731
+    assert (invariant_profile(a) == invariant_profile(b)) == (nested(a) == nested(b))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +486,7 @@ def search(a: LabeledPoset, b: LabeledPoset, sig_a=None, sig_b=None):
     interned ids do.  The witness comes back as b's node indices in plan
     order and is named here, as a dict from a's node names to b's."""
     if sig_a is None:
-        sig_a, sig_b = _signatures(a), _signatures(b)
+        sig_a, sig_b = reference_signatures(a), reference_signatures(b)
     if sorted(sig_a) != sorted(sig_b):
         return None
     plan = _search_plan(a, sig_a)
@@ -433,7 +503,7 @@ def searches_checked():
     original = poset_module._search_isomorphism
 
     def checked(a, b, plan, sig_b, order):
-        assert sorted(_signatures(a)) == sorted(_signatures(b))
+        assert sorted(reference_signatures(a)) == sorted(reference_signatures(b))
         assert sorted(plan[1]) == sorted(sig_b) and len(plan[0]) == len(order) == len(b)
         images = original(a, b, plan, sig_b, order)
         assert images is None or sorted(images) == list(range(len(b)))  # one of b's indices per node of a
@@ -454,7 +524,7 @@ def test_is_isomorphic_searches_only_equal_signature_multisets(p, q, rng, copy):
         q = shuffled(p, dict(zip(p.nodes, rng.sample(string.ascii_lowercase, len(p)))), rng.sample(list(p.nodes), len(p)))
     with searches_checked() as found:
         verdict = is_isomorphic(p, q)
-    assert len(found) == (sorted(_signatures(p)) == sorted(_signatures(q)))
+    assert len(found) == (sorted(reference_signatures(p)) == sorted(reference_signatures(q)))
     assert found[-1:] == ([verdict.isomorphic] if found else [])
 
 
@@ -481,7 +551,7 @@ def assert_plan_is_the_reference(a: LabeledPoset, sig_a):
 @settings(max_examples=200, deadline=None)
 @given(labeled_posets(max_nodes=12))
 def test_search_plan_matches_the_definition(p):
-    assert_plan_is_the_reference(p, _signatures(p))
+    assert_plan_is_the_reference(p, reference_signatures(p))
 
 
 @pytest.mark.parametrize("klein", [False, True])
@@ -492,7 +562,7 @@ def test_search_plan_matches_the_definition_on_grid_face_posets(m, klein):
     grid = grid_poset(m, klein)
     names = rng.sample([f"x{i}" for i in range(len(grid))], len(grid))
     p = shuffled(grid, dict(zip(grid.nodes, names)), rng.sample(list(grid.nodes), len(grid)))
-    assert_plan_is_the_reference(p, _signatures(p))
+    assert_plan_is_the_reference(p, reference_signatures(p))
 
 
 def test_census_plans_match_the_definition(monkeypatch):
@@ -565,7 +635,7 @@ def test_search_on_interned_ids_with_a_given_order_returns_the_same_witness(p, r
     # witness must be the one the search on the signatures finds.
     other = shuffled(p, dict(zip(p.nodes, rng.sample(string.ascii_lowercase, len(p)))), rng.sample(list(p.nodes), len(p)))
     intern = {}
-    ids_a, ids_b = ([intern.setdefault(sig, len(intern)) for sig in _signatures(q)] for q in (p, other))
+    ids_a, ids_b = ([intern.setdefault(sig, len(intern)) for sig in reference_signatures(q)] for q in (p, other))
     expected = search(p, other)
     assert expected is not None
     assert search(p, other, ids_a, ids_b) == expected
@@ -730,7 +800,7 @@ def test_census_matches_pairwise_grouping_where_keys_hold_several_classes(k, m, 
     s = orbits_over_sinks(k, m, d)
     report = census(s)
     systems = representatives(s)
-    keys = [tuple(sorted(_signatures(face_poset(systems[cls.members[0]])))) for cls in report.classes]
+    keys = [tuple(sorted(reference_signatures(face_poset(systems[cls.members[0]])))) for cls in report.classes]
     assert len(set(keys)) < len(keys)
     assert [cls.members for cls in report.classes] == reference_census(s)
 
@@ -755,13 +825,13 @@ def searches_recorded():
 
     def planned(a, sig_a):
         events.append(("plan", tuple(a._down)))
-        keys.append((tuple(sorted(sig_a)), tuple(sorted(_signatures(a)))))
+        keys.append((tuple(sorted(sig_a)), tuple(sorted(reference_signatures(a)))))
         return plan(a, sig_a)
 
     def searched(a, b, plan, sig_b, order):
         images = search(a, b, plan, sig_b, order)
         events.append(("search", tuple(a._down), tuple(b._down), images is not None))
-        keys.append((tuple(sorted(sig_b)), tuple(sorted(_signatures(b)))))
+        keys.append((tuple(sorted(sig_b)), tuple(sorted(reference_signatures(b)))))
         return images
 
     with pytest.MonkeyPatch.context() as patch:
@@ -771,13 +841,13 @@ def searches_recorded():
 
 
 def census_keyed_on_signatures(s):
-    """census as it was before it read ids off its masks: each resolution's
-    face poset keyed on its sorted signature tuples, searched against the
+    """census on code it does not share: each resolution's face poset,
+    keyed on its sorted reference signature tuples, searched against the
     classes under its key from a plan built at the class's first search."""
     by_key, classes = {}, []
     for system, choices in resolve_all_detailed(s):
         poset = face_poset(system)
-        sig = _signatures(poset)
+        sig = reference_signatures(poset)
         order = sorted(range(len(poset)), key=poset.nodes.__getitem__)
         bucket = by_key.setdefault(tuple(sorted(sig)), [])
         for cls in bucket:
@@ -905,8 +975,11 @@ def test_masks_match_the_frozenset_definitions(inputs, rng):
     assert p.covers() == sorted(
         (a, b) for b in labels for a in down[b] - {b} if not any(a in down[c] for c in down[b] - {a, b})
     )
-    counts = lambda nodes: tuple(sorted(Counter(labels[z] for z in nodes).items()))  # noqa: E731
-    assert _signatures(p) == [(labels[x], counts(down[x]), counts(up[x])) for x in labels]
+    present = sorted(set(labels.values()))
+    counts = lambda nodes: tuple(sum(labels[z] == l for z in nodes) for l in present)  # noqa: E731
+    masks = [sum(1 << i for i, x in enumerate(labels) if labels[x] == l) for l in present]
+    assert _label_masks(p._labels) == (present, masks)
+    assert _signatures(p, masks) == [(labels[x], *counts(down[x]), *counts(up[x])) for x in labels]
 
     # Equality and hash ignore declaration and relation order; one more
     # relation changes equality exactly when it changes some down-set.
