@@ -205,10 +205,11 @@ def directive_lines(text: str | bytes) -> Iterator[tuple[int, list[str], str]]:
     text that holds a token before its ``#`` comment; the first token is the
     directive.  Tokens are separated by any run of whitespace.  This is the
     one reader of the three formats, and it checks nothing: each parser
-    checks its own directives and arguments.  Bytes may start with a UTF-8
-    byte-order mark, which is dropped."""
+    checks its own directives and arguments.  The text, bytes or str, may
+    start with one UTF-8 byte-order mark, which is dropped."""
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8-sig")
+        text = text.decode("utf-8")
+    text = text.removeprefix("\ufeff")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if tokens:

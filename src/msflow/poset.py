@@ -14,6 +14,7 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
+from heapq import heappop, heappush
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
@@ -288,21 +289,26 @@ def _profile_certificate(pa: Profile, pb: Profile) -> str | None:
 
 def _search_plan(a: LabeledPoset, sig_a: Sequence) -> tuple:
     """The part of the search that depends on side a alone: a's node indices
-    in search order, most constrained first (fewest nodes of equal
-    signature, then by name); their signatures; and, per depth, bytes of 2
-    (apart) for the deeper nodes with 0 or 1 written where one lies below or
-    above that depth's node, so only comparable pairs cost a Python step."""
-    count = Counter(sig_a)
-    order = sorted(range(len(a)), key=lambda i: (count[sig_a[i]], a._nodes[i]))
-    at = sorted(range(len(order)), key=order.__getitem__)  # each node's depth
-    stands, deeper = [], (1 << len(order)) - 1
-    for depth, i in enumerate(order):
-        deeper ^= 1 << i
-        row = bytearray(b"\2") * len(order)
-        for stand, related in ((0, a._down[i]), (1, a._up[i])):
-            for k in bits(related & deeper):
-                row[at[k]] = stand
-        stands.append(bytes(row[depth + 1 :]))
+    in search order, their signatures, and per depth that node's stand: the
+    open nodes below it, those above it, and how many placed nodes it is
+    comparable to.  The order (VF2++'s; Juttner & Madarasi, 2018) starts at
+    the node of fewest of equal signature, then by name, and goes on to the
+    open node comparable to the most placed ones, ties by that rank."""
+    n, count = len(a), Counter(sig_a)
+    rank = sorted(range(n), key=lambda i: (count[sig_a[i]], a._nodes[i]))
+    key = sorted(range(n), key=rank.__getitem__)  # each node's latest heap entry: rank - n * placed comparable nodes
+    heap, open_, order, stands = list(range(n)), (1 << n) - 1, [], []
+    while heap:
+        entry = heappop(heap)
+        if entry != key[i := rank[entry % n]]:
+            continue
+        open_ ^= 1 << i
+        below, above = bits(a._down[i] & open_), bits(a._up[i] & open_)
+        for k in below + above:
+            key[k] -= n
+            heappush(heap, key[k])
+        order.append(i)
+        stands.append((below, above, (entry % n - entry) // n))
     return order, [sig_a[i] for i in order], stands
 
 
@@ -318,11 +324,14 @@ def _search_isomorphism(
     only when the profiles do, census only within a key.  The stack is
     explicit, so long chains need no recursion.
 
-    Forward checking (Haralick & Elliott, 1980): each depth keeps a domain,
-    the mask of b's nodes still open to it.  Assigning x -> y narrows every
-    deeper domain to the nodes that stand to y as that node stands to x, y
-    is skipped if a domain empties, and as only subtrees without a solution
-    are cut, the witness is the one plain backtracking in this order finds."""
+    Forward checking (Haralick & Elliott, 1980): each of a's nodes keeps a
+    domain, the mask of b's nodes still open to it.  Placing x on y narrows
+    the domains of the open nodes below x to b's nodes below y, of those
+    above x to those above y, and skips y if one empties.  Apart pairs cost
+    nothing: ``used`` keeps the map one-to-one, and y must be comparable to
+    as many placed nodes as x, which narrowing has paired off.  Only
+    subtrees without a solution are cut, so the witness is the one plain
+    backtracking in this order finds."""
     nodes, sigs, stands = plan
     groups, masks = {}, {}  # signature -> b's nodes with it in name order, and their mask
     for j in order:
@@ -330,50 +339,51 @@ def _search_isomorphism(
         groups.setdefault(sig, []).append(j)
         masks[sig] = masks.get(sig, 0) | 1 << j
 
-    # Among candidates (in name order) try the same name first so
-    # self-comparisons return the identity.
-    options = []
+    # Same name first among candidates (in name order): self-comparisons map by identity.
+    options, domain = [], [0] * len(nodes)
     for i, sig in zip(nodes, sigs):
         group = groups[sig]
         if (j := b._index.get(a._nodes[i])) is not None and masks[sig] >> j & 1:
-            at = group.index(j)
-            group = [j] + group[:at] + group[at + 1 :]
+            group = [j] + group[: (at := group.index(j))] + group[at + 1 :]
         options.append(group)
-    domain = [masks[sig] for sig in sigs]
-    trail: list[tuple[int, int, int]] = []  # (depth that narrowed, deeper depth, its old domain)
+        domain[i] = masks[sig]
+    down, up, trail = b._down, b._up, []  # trail: (depth that narrowed, a's node, its old domain)
 
     def undo(depth: int) -> None:
         while trail and trail[-1][0] >= depth:
-            _, deeper, old = trail.pop()
-            domain[deeper] = old
+            _, k, domain[k] = trail.pop()
 
-    def narrow(depth: int, y: int) -> bool:
-        below, above = b._down[y], b._up[y]
-        by_stand = (below & ~above, above & ~below, ~(below | above))
-        for deeper, stand in enumerate(stands[depth], depth + 1):
-            old = domain[deeper]
-            if (new := old & by_stand[stand]) != old:
+    def narrow(depth: int, related: list[int], side: int) -> bool:
+        for k in related:
+            old = domain[k]
+            if (new := old & side) != old:
                 if not new:
                     undo(depth)
                     return False
-                trail.append((depth, deeper, old))
-                domain[deeper] = new
+                trail.append((depth, k, old))
+                domain[k] = new
         return True
 
     # next_option[d]: where the search resumes among options[d] when it
-    # comes back to depth d.
-    next_option = [0] * len(nodes)
-    depth = 0
+    # comes back to depth d; used: b's nodes taken by depths above it.
+    next_option, used, depth = [0] * len(nodes), 0, 0
     while 0 <= depth < len(nodes):
         opts, i = options[depth], next_option[depth]
-        while i < len(opts) and not (domain[depth] >> opts[i] & 1 and narrow(depth, opts[i])):
+        if i:  # back from a failed deeper depth: take this depth's choice back
+            undo(depth)
+            used ^= 1 << opts[i - 1]
+        free, (below, above, placed) = domain[nodes[depth]] & ~used, stands[depth]
+        while i < len(opts) and not (
+            free >> (y := opts[i]) & 1 and ((down[y] | up[y]) & used).bit_count() == placed
+            and narrow(depth, below, down[y]) and narrow(depth, above, up[y])
+        ):
             i += 1
         if i == len(opts):
             next_option[depth] = 0
             depth -= 1
-            undo(depth)
         else:
             next_option[depth] = i + 1
+            used |= 1 << opts[i]
             depth += 1
     return None if depth < 0 else [opts[k - 1] for opts, k in zip(options, next_option)]
 

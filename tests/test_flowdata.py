@@ -123,7 +123,9 @@ BOM = "\ufeff".encode()
     ids=["msf", "msc", "pos"],
 )
 def test_a_leading_byte_order_mark_is_dropped(parser, text):
+    # As bytes, which the CLI reads, and as str, which read_text gives.
     assert parser(BOM + text) == parser(text)
+    assert parser((BOM + text).decode()) == parser(text.decode()) == parser(text)
 
 
 @pytest.mark.parametrize(
