@@ -296,7 +296,9 @@ def _search_plan(a: LabeledPoset, sig_a: Sequence) -> tuple:
     open node comparable to the most placed ones, ties by that rank."""
     n, count = len(a), Counter(sig_a)
     rank = sorted(range(n), key=lambda i: (count[sig_a[i]], a._nodes[i]))
-    key = sorted(range(n), key=rank.__getitem__)  # each node's latest heap entry: rank - n * placed comparable nodes
+    key = [0] * n  # each node's latest heap entry: rank - n * placed comparable nodes
+    for r, i in enumerate(rank):
+        key[i] = r
     heap, open_, order, stands = list(range(n)), (1 << n) - 1, [], []
     while heap:
         entry = heappop(heap)
@@ -333,20 +335,23 @@ def _search_isomorphism(
     subtrees without a solution are cut, so the witness is the one plain
     backtracking in this order finds."""
     nodes, sigs, stands = plan
-    groups, masks = {}, {}  # signature -> b's nodes with it in name order, and their mask
+    groups = {}  # signature -> [b's nodes with it in name order, their mask]
     for j in order:
-        sig = sig_b[j]
-        groups.setdefault(sig, []).append(j)
-        masks[sig] = masks.get(sig, 0) | 1 << j
+        if (group := groups.get(sig := sig_b[j])) is None:
+            groups[sig] = [[j], 1 << j]
+        else:
+            group[0].append(j)
+            group[1] |= 1 << j
 
-    # Same name first among candidates (in name order): self-comparisons map by identity.
+    # Same name first among candidates (in name order): self-comparisons map
+    # by identity.  Depths share a group unless its same-name node must move.
     options, domain = [], [0] * len(nodes)
     for i, sig in zip(nodes, sigs):
-        group = groups[sig]
-        if (j := b._index.get(a._nodes[i])) is not None and masks[sig] >> j & 1:
-            group = [j] + group[: (at := group.index(j))] + group[at + 1 :]
+        group, domain[i] = groups[sig]
+        if len(group) > 1 and (j := b._index.get(a._nodes[i])) != group[0] and j is not None and domain[i] >> j & 1:
+            group = [j, *group]
+            del group[group.index(j, 1)]
         options.append(group)
-        domain[i] = masks[sig]
     down, up, trail = b._down, b._up, []  # trail: (depth that narrowed, a's node, its old domain)
 
     def undo(depth: int) -> None:
