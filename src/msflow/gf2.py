@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import index, xor
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class MatrixGF2:
@@ -93,7 +93,7 @@ class MatrixGF2:
 
     def nonzero_entries(self) -> list[tuple[int, int]]:
         """(row, col) positions of the 1-entries, in row-major order."""
-        return [(i, j) for i, r in enumerate(self._rows) for j in bits(r)]
+        return [(i, j) for i, r in enumerate(self._rows) if r for j in bits(r)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixGF2):
@@ -110,10 +110,11 @@ class MatrixGF2:
 def bits(r: int) -> list[int]:
     """Positions of the set bits of r, ascending."""
     found = []
-    while r:
-        low = r & -r
-        found.append(low.bit_length() - 1)
-        r ^= low
+    while r:  # clear the top bit: one shift and one XOR, and r shrinks
+        h = r.bit_length() - 1
+        found.append(h)
+        r ^= 1 << h
+    found.reverse()
     return found
 
 
@@ -133,33 +134,38 @@ def add(a: MatrixGF2, b: MatrixGF2) -> MatrixGF2:
     return MatrixGF2._from_rows(map(xor, a._rows, b._rows), a.cols)
 
 
-def _echelon(rows: Iterable[int]) -> dict[int, int]:
-    """A basis of the row span whose members have distinct lowest set bits,
-    keyed by that bit."""
+def _lowest(r: int) -> int:
+    """Pivot rule of ``row_reduce``: the lowest set bit, as its bit length."""
+    return (r & -r).bit_length()
+
+
+def _echelon(rows: Iterable[int], pivot: Callable[[int], int]) -> dict[int, int]:
+    """A basis of the row span whose members have distinct pivot bits, keyed
+    by ``pivot(r)``: the pivot bit's position plus one, a small int."""
     basis: dict[int, int] = {}
     for r in rows:
         while r:
-            low = r & -r
-            if low not in basis:
-                basis[low] = r
+            p = pivot(r)
+            if p not in basis:
+                basis[p] = r
                 break
-            r ^= basis[low]
+            r ^= basis[p]  # clears the pivot bit
     return basis
 
 
 def row_reduce(m: MatrixGF2) -> tuple[MatrixGF2, tuple[int, ...]]:
     """Reduced row-echelon form and pivot columns, via XOR elimination."""
-    basis = _echelon(m._rows)
-    lows = sorted(basis)
-    reduced = [basis[low] for low in lows]
+    basis = _echelon(m._rows, _lowest)
+    pivots = tuple(p - 1 for p in sorted(basis))
+    reduced = [basis[p + 1] for p in pivots]
     # Clear each pivot column above its pivot, last pivot first, so every row
     # used for clearing is already reduced against the pivots after it.
     for i in range(len(reduced) - 1, 0, -1):
         for h in range(i):
-            if reduced[h] & lows[i]:
+            if reduced[h] >> pivots[i] & 1:
                 reduced[h] ^= reduced[i]
     reduced += [0] * (m.rows - len(reduced))
-    return MatrixGF2._from_rows(reduced, m.cols), tuple(low.bit_length() - 1 for low in lows)
+    return MatrixGF2._from_rows(reduced, m.cols), pivots
 
 
 def rref(m: MatrixGF2) -> MatrixGF2:
@@ -170,7 +176,8 @@ def rref(m: MatrixGF2) -> MatrixGF2:
 
 def rank(m: MatrixGF2) -> int:
     """Rank of ``m`` over GF(2)."""
-    return len(_echelon(m._rows))
+    # The top bit: its bit length is one C call, and each XOR shortens r.
+    return len(_echelon(m._rows, int.bit_length))
 
 
 def kernel_dim(m: MatrixGF2) -> int:

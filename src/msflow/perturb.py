@@ -351,12 +351,9 @@ def verify_franks_claims(before: FlowSystem, after: PerturbationResult) -> Claim
 def _line_witnesses(cx, degree: int, axis: int, x: BasisElement) -> tuple[str, ...]:
     """Nonzero entries of d_degree along the row (axis 0) or the column (axis 1) of x."""
     rows, cols = axes = cx.basis(degree - 1), cx.basis(degree)
-    at = axes[axis].index(x)
-    return tuple(
-        f"d_{degree}[{rows[i].label}, {cols[j].label}] = 1"
-        for i, j in cx.boundary(degree).nonzero_entries()
-        if (i, j)[axis] == at
-    )
+    d, at, line = cx.boundary(degree), axes[axis].index(x), range(len(axes[1 - axis]))
+    cells = [(at, j) for j in line] if axis == 0 else [(i, at) for i in line]
+    return tuple(f"d_{degree}[{rows[i].label}, {cols[j].label}] = 1" for i, j in cells if d[i, j])
 
 
 def _cell_str(cell: DiffCell) -> str:

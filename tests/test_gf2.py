@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msflow import MatrixGF2, kernel_dim, multiply, rank, rref
-from msflow.gf2 import row_reduce
+from msflow.gf2 import bits, row_reduce
 
 
 def span_rank(m: MatrixGF2) -> int:
@@ -289,11 +289,25 @@ def test_multiply_is_the_textbook_sum_mod_2(data, shape):
     assert multiply(as_matrix(a, q), as_matrix(b, r)).tolist() == textbook_product(a, b, r)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data(), RANK_SHAPES)
-def test_rank_and_rref_match_gauss_jordan_elimination(data, shape):
+@st.composite
+def sparse_bit_lists(draw) -> tuple[list[list[int]], int]:
+    """1-4 ones per row in 65-300 columns, the shape of a cubical boundary
+    matrix, where elimination fills rows in."""
+    cols, n = draw(st.integers(65, 300)), draw(st.integers(1, 160))
+    rows = draw(st.lists(st.sets(st.integers(0, cols - 1), min_size=1, max_size=4), min_size=n, max_size=n))
+    return [[int(j in ones) for j in range(cols)] for ones in rows], cols
+
+
+def dense_bit_lists(shape: tuple[int, int]):
     rows, cols = shape
-    entries = data.draw(bit_lists(rows, cols))
+    return bit_lists(rows, cols).map(lambda entries: (entries, cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(RANK_SHAPES.flatmap(dense_bit_lists) | sparse_bit_lists())
+def test_rank_and_rref_match_gauss_jordan_elimination(table):
+    entries, cols = table
+    rows = len(entries)
     m = as_matrix(entries, cols)
     expected, pivots = textbook_rref(entries, cols)
     assert rank(m) == len(pivots)
@@ -308,6 +322,17 @@ def test_rank_matches_span_oracle(data, shape):
     rows, cols = shape
     m = as_matrix(data.draw(bit_lists(rows, cols)), cols)
     assert rank(m) == span_rank(m)
+
+
+ONE_BIT = st.integers(0, 1200).map(lambda k: 1 << k)
+SPARSE = st.lists(st.integers(0, 1200), max_size=12).map(lambda ks: sum({1 << k for k in ks}))
+ALL_ONES = st.integers(0, 1200).map(lambda k: 2**k - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.just(0) | ONE_BIT | SPARSE | ALL_ONES)
+def test_bits_lists_the_set_bits_ascending(r):
+    assert bits(r) == [j for j in range(r.bit_length()) if r >> j & 1]
 
 
 @settings(max_examples=60, deadline=None)

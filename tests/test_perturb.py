@@ -351,8 +351,24 @@ def test_corrupted_result_fails_the_middle_claim(fig4):
     report = verify_franks_claims(fig4, corrupted)
     outcomes = {o.name: o for o in report.outcomes}
     assert not outcomes["ii"].passed
-    assert outcomes["ii"].witnesses  # names the offending cell
+    assert outcomes["ii"].witnesses == ("d_2[gamma-, p1]: 0 vs 1",)  # names the offending cell
+    # The new entry also sits in the row of q_gamma, gamma-'s counterpart.
+    assert outcomes["i"].witnesses == ("d_2[q_gamma, p1] = 1",)
     assert not report.all_passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_line_witnesses_name_the_ones_of_one_row_or_column(seed):
+    cx = build_complex(random_valid_system(random.Random(seed)))
+    for k in range(1, cx.top_degree + 1):
+        ones = cx.boundary(k).nonzero_entries()
+        for axis, line in enumerate((cx.basis(k - 1), cx.basis(k))):
+            for at, x in enumerate(line):
+                expected = tuple(
+                    f"d_{k}[{cx.basis(k - 1)[i].label}, {cx.basis(k)[j].label}] = 1" for i, j in ones if (i, j)[axis] == at
+                )
+                assert perturb_module._line_witnesses(cx, k, axis, x) == expected
 
 
 # ---------------------------------------------------------------------------
