@@ -226,10 +226,12 @@ def parse(text: str | bytes) -> FlowSystem:
 
     Only syntax and referential integrity are checked here; semantic rules
     (index ranges, dimension rule, ...) are the validator's job, so malformed
-    systems can be loaded for diagnosis.  ``read_int`` checks each number,
-    ``CriticalElement`` the spelling of each name, and parse the directives,
-    argument counts, references, self-pairs and duplicates, so ConnectionMap
-    only sorts the counts.
+    systems can be loaded for diagnosis.  ``read_int`` checks each number
+    (each distinct conn count token once a call), ``NAME_RE`` the spelling of
+    each name, and parse the directives, argument counts, references,
+    self-pairs and duplicates.  So each element is built from checked fields
+    without ``CriticalElement.__post_init__``, which guards the public
+    constructor only, and ConnectionMap only sorts the counts.
     """
     dimension: int | None = None
     label: str | None = None
@@ -237,21 +239,24 @@ def parse(text: str | bytes) -> FlowSystem:
     elements: list[CriticalElement] = []
     names: set[str] = set()
     counts: dict[tuple[str, str], int] = {}
+    values: dict[str, int] = {}  # conn count token -> its value; index tokens may be 0, so they keep out
 
     for lineno, tokens, raw in directive_lines(text):
         directive = tokens[0]
         if directive == "conn" and dimension is not None:  # two thirds of a grid file's lines
             if len(tokens) != 4:
                 raise ParseError(lineno, f"conn needs <source> <target> <count>, got {_rest(raw)!r}")
-            _, src, dst, count = tokens
-            count = read_int(lineno, count, minimum=1)
+            _, src, dst, token = tokens
+            count = values.get(token)
+            if count is None:  # read_int raises on a refused token, so only accepted ones are stored
+                count = values[token] = read_int(lineno, token, minimum=1)
             if src not in names or dst not in names:
                 raise ParseError(lineno, f"unknown element {src if src not in names else dst!r}")
             if src == dst:
                 raise ParseError(lineno, f"self-connection {src} -> {dst} is not allowed")
-            if (src, dst) in counts:
+            if (pair := (src, dst)) in counts:
                 raise ParseError(lineno, f"duplicate conn line for {src} -> {dst}")
-            counts[src, dst] = count
+            counts[pair] = count
         elif dimension is None and directive != "dim":
             raise ParseError(lineno, "the dim directive must come first")
         elif directive == "dim":
@@ -280,10 +285,9 @@ def parse(text: str | bytes) -> FlowSystem:
                 usage = "<name> <index> <twisted|untwisted>" if orbit else "<name> <index>"
                 raise ParseError(lineno, f"{directive} needs {usage}, got {_rest(raw)!r}")
             name, index = tokens[1], read_int(lineno, tokens[2])
-            try:  # the kind, index and flag are read already, so only the name can be refused
-                elements.append(CriticalElement(name, directive, index, tokens[3] == "twisted" if orbit else None))
-            except ValueError:
-                raise ParseError(lineno, f"invalid name {name!r}") from None
+            if not NAME_RE.match(name):
+                raise ParseError(lineno, f"invalid name {name!r}")
+            elements.append(_element(name, directive, index, tokens[3] == "twisted" if orbit else None))
             if name in names:
                 raise ParseError(lineno, f"duplicate element name {name!r}")
             names.add(name)
@@ -300,6 +304,20 @@ def parse(text: str | bytes) -> FlowSystem:
         label=label,
         expected_betti=expected,
     )
+
+
+_new, _set = object.__new__, object.__setattr__  # looked up once: _element runs once per element
+
+
+def _element(name: str, kind: str, index: int, twisted: bool | None) -> CriticalElement:
+    """A CriticalElement of fields parse has checked, set one by one in the
+    dataclass ``__init__``'s order, so it keeps the class's shared-key dict."""
+    e = _new(CriticalElement)
+    _set(e, "name", name)
+    _set(e, "kind", kind)
+    _set(e, "index", index)
+    _set(e, "twisted", twisted)
+    return e
 
 
 def read_int(lineno: int, token: str, minimum: int = 0) -> int:

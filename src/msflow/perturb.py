@@ -351,7 +351,10 @@ def verify_franks_claims(before: FlowSystem, after: PerturbationResult) -> Claim
 def _line_witnesses(cx, degree: int, axis: int, x: BasisElement) -> tuple[str, ...]:
     """Nonzero entries of d_degree along the row (axis 0) or the column (axis 1) of x."""
     rows, cols = axes = cx.basis(degree - 1), cx.basis(degree)
-    d, at, line = cx.boundary(degree), axes[axis].index(x), range(len(axes[1 - axis]))
+    # An origin names one generator of a degree at most (an orbit's two copies
+    # sit in adjacent degrees), so x is found by a str compare, not a dataclass ==.
+    at = [b.origin for b in axes[axis]].index(x.origin)
+    d, line = cx.boundary(degree), range(len(axes[1 - axis]))
     cells = [(at, j) for j in line] if axis == 0 else [(i, at) for i in line]
     return tuple(f"d_{degree}[{rows[i].label}, {cols[j].label}] = 1" for i, j in cells if d[i, j])
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -174,6 +175,35 @@ def test_parse_error_reports_offending_line_number():
     with pytest.raises(ParseError) as exc:
         parse("dim 2\nrest q 0\nconn q z 1\n")
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # A refused count token is never remembered, so its first line names it.
+        ("dim 2\nrest a 0\nrest b 1\nrest c 1\nconn b a +1\nconn c a +1\n", 5),
+        ("dim 2\nrest a 1\nrest b 1\nconn a b 1\nconn b a +1\n", 5),
+    ],
+)
+def test_count_errors_name_the_first_line_that_spells_them(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line == line
+
+
+def test_parsed_elements_cannot_be_told_from_constructed_ones():
+    # parse builds its elements without __post_init__.  Forty-odd elements take
+    # CPython's shared-key dict for the class past its first sizes.
+    text = "dim 2\n" + "".join(f"rest r{i} {i % 3}\n" for i in range(40)) + "orbit g 1 twisted\norbit h 0 untwisted\n"
+    parsed = parse(text).elements
+    built = [CriticalElement(e.name, e.kind, e.index, e.twisted) for e in parsed]
+    assert list(parsed) == built
+    assert [hash(e) for e in parsed] == [hash(e) for e in built]
+    assert [repr(e) for e in parsed] == [repr(e) for e in built]
+    # An element with a dict of its own (vars(e).update) would be larger.
+    assert [sys.getsizeof(vars(e)) for e in parsed] == [sys.getsizeof(vars(e)) for e in built]
+    with pytest.raises(ValueError, match="invalid element name"):
+        replace(parsed[0], name="9a")
 
 
 LAX_INTEGERS = ["1_0", "+1", "\u0662", "1\u0661"]  # int() accepts all of these
