@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .flowdata import FlowSystem, Violation, validate
+from .flowdata import FlowSystem, Violation, _new, _set, validate
 from .gf2 import MatrixGF2, add, multiply, rank
 
 PLAIN = "plain"
@@ -42,6 +42,16 @@ class BasisElement:
     def label(self) -> str:
         """Display name: origin with a +/- suffix for orbit copies."""
         return self.origin + _SUFFIX[self.flavor]
+
+
+def _generator(origin: str, flavor: str, degree: int) -> BasisElement:
+    """A BasisElement of a valid system's fields, set one by one in the
+    dataclass ``__init__``'s order, so it keeps the class's shared-key dict."""
+    x = _new(BasisElement)
+    _set(x, "origin", origin)
+    _set(x, "flavor", flavor)
+    _set(x, "degree", degree)
+    return x
 
 
 @dataclass(frozen=True)
@@ -119,21 +129,22 @@ def build_complex(s: FlowSystem) -> ChainComplexGF2:
     if "_complex" in vars(s):
         return vars(s)["_complex"]
 
+    # s is valid, so every flavor below is one __post_init__ would accept.
     n = s.dimension
     groups: list[tuple[list, list, list]] = [([], [], []) for _ in range(n + 1)]  # rest points, lower, upper copies
     for e in s.elements:
         if e.is_rest:
-            groups[e.index][0].append(BasisElement(e.name, PLAIN, e.index))
+            groups[e.index][0].append(_generator(e.name, PLAIN, e.index))
         else:
-            groups[e.index][1].append(BasisElement(e.name, MINUS, e.index))
-            groups[e.index + 1][2].append(BasisElement(e.name, PLUS, e.index + 1))
+            groups[e.index][1].append(_generator(e.name, MINUS, e.index))
+            groups[e.index + 1][2].append(_generator(e.name, PLUS, e.index + 1))
     bases = [tuple(rest + lower + upper) for rest, lower, upper in groups]
     at = [{x.origin: i for i, x in enumerate(level)} for level in bases]  # origin -> position, per degree
 
     # Entry (row, col) of d_k is the parity of c(col.origin, row.origin), so d_k
     # holds the odd connections from a copy in degree k to one in degree k-1.
     # The two copies of one orbit get 0 because self-connections are unrepresentable.
-    odd = [pair for pair, c in s.connections.items() if c & 1]
+    odd = [pair for pair, c in s.connections._any_order() if c & 1]
     boundaries = [
         MatrixGF2.from_ones(len(rows), len(cols), [(rows[dst], cols[src]) for src, dst in odd if dst in rows and src in cols])
         for rows, cols in zip([{}] + at, at)
@@ -189,7 +200,11 @@ def compare_matrices(
     """Entry-by-entry comparison of boundary matrices under a
     degree-preserving basis bijection from a to b: the entries where they
     disagree, by degree and then row-major."""
-    perms = _alignment(a, b, correspondence)
+    return _diff(a, b, _alignment(a, b, correspondence))
+
+
+def _diff(a: ChainComplexGF2, b: ChainComplexGF2, perms: list[list[int]]) -> tuple[DiffCell, ...]:
+    """compare_matrices for the per-degree positions that ``_alignment`` gives."""
     cells = []
     for k in range(1, a.top_degree + 1):
         rows, cols, left = a.basis(k - 1), a.basis(k), a.boundary(k)
@@ -201,25 +216,29 @@ def compare_matrices(
 def _alignment(a: ChainComplexGF2, b: ChainComplexGF2, correspondence: Mapping[BasisElement, BasisElement]) -> list[list[int]]:
     """Per degree, the position in b's basis of the image of each of a's
     generators; refuses a correspondence that is not a degree-preserving
-    bijection of the bases."""
+    bijection of the bases.  Generators are looked up by their
+    (origin, flavor, degree) fields, which is BasisElement equality, so
+    every hash is a tuple's, computed in C."""
     if a.top_degree != b.top_degree:
         raise ValueError(f"top degrees differ: {a.top_degree} vs {b.top_degree}")
 
+    image_of: dict[tuple[str, str, int], BasisElement] = {}
     for x, y in correspondence.items():
         if x.degree != y.degree:
             raise ValueError(f"correspondence is not degree-preserving: {x.label} (degree {x.degree}) -> {y.label} (degree {y.degree})")
+        image_of[x.origin, x.flavor, x.degree] = y
 
     perms: list[list[int]] = []
     for k in range(a.top_degree + 1):
         left, right = a.basis(k), b.basis(k)
         if len(left) != len(right):
             raise ValueError(f"basis sizes differ in degree {k}: {len(left)} vs {len(right)}")
-        images = [correspondence.get(x) for x in left]
+        images = [image_of.get((x.origin, x.flavor, x.degree)) for x in left]
         if any(y is None for y in images):
             missing = [x.label for x, y in zip(left, images) if y is None]
             raise ValueError(f"correspondence misses basis element(s) {missing} in degree {k}")
-        at = {y: j for j, y in enumerate(right)}
-        perms.append([at.get(y) for y in images])
+        at = {(y.origin, y.flavor, y.degree): j for j, y in enumerate(right)}
+        perms.append([at.get((y.origin, y.flavor, y.degree)) for y in images])
         if None in perms[k] or len(set(perms[k])) != len(at):  # the images are exactly the elements of b's basis
             raise ValueError(f"correspondence is not a bijection onto the second basis in degree {k}")
     return perms

@@ -83,10 +83,11 @@ class ConnectionMap:
 
     Absent pairs mean count 0.  The map refuses a self-pair and a count that
     is not a positive int; parse and validate check that the names are
-    declared.  Kept in (source, target) order; immutable and hashable.
+    declared.  Pairs are read in (source, target) order, sorted on the first
+    read that needs the order; immutable and hashable.
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_counts", "_sorted")
 
     def __init__(self, counts: Mapping[tuple[str, str], int] | Iterable[tuple[tuple[str, str], int]] = ()):
         items = dict(counts)
@@ -98,27 +99,38 @@ class ConnectionMap:
         self._adopt(items)
 
     def _adopt(self, items: dict[tuple[str, str], int]) -> "ConnectionMap":
-        """Take counts whose pairs and values are checked already, in (source, target) order."""
-        # Sorting by target, then stably by source, beats one sort of the (pair, count) items on unsorted input.
-        pairs = sorted(items, key=itemgetter(1))
-        pairs.sort(key=itemgetter(0))
-        self._counts = {pair: items[pair] for pair in pairs}
+        """Take a dict of counts whose pairs and values are checked already, in any order."""
+        self._counts, self._sorted = items, False
         return self
+
+    def _ordered(self) -> dict[tuple[str, str], int]:
+        """The counts in (source, target) order, sorted on the first call."""
+        if not self._sorted:
+            # Sorting by target, then stably by source, beats one sort of the (pair, count) items on unsorted input.
+            counts = self._counts
+            pairs = sorted(counts, key=itemgetter(1))
+            pairs.sort(key=itemgetter(0))
+            self._counts, self._sorted = {pair: counts[pair] for pair in pairs}, True
+        return self._counts
+
+    def _any_order(self) -> Iterable[tuple[tuple[str, str], int]]:
+        """The (pair, count) items in no promised order, for scans whose result does not depend on it."""
+        return self._counts.items()
 
     def count(self, src: str, dst: str) -> int:
         return self._counts.get((src, dst), 0)
 
     def items(self) -> Iterator[tuple[tuple[str, str], int]]:
-        return iter(self._counts.items())
+        return iter(self._ordered().items())
 
     def pairs(self) -> Iterator[tuple[str, str]]:
-        return iter(self._counts)
+        return iter(self._ordered())
 
     def outgoing(self, name: str) -> dict[str, int]:
-        return {dst: c for (src, dst), c in self._counts.items() if src == name}
+        return {dst: c for (src, dst), c in self._ordered().items() if src == name}
 
     def incoming(self, name: str) -> dict[str, int]:
-        return {src: c for (src, dst), c in self._counts.items() if dst == name}
+        return {src: c for (src, dst), c in self._ordered().items() if dst == name}
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -129,10 +141,10 @@ class ConnectionMap:
         return self._counts == other._counts
 
     def __hash__(self):
-        return hash(tuple(self._counts.items()))
+        return hash(tuple(self._ordered().items()))
 
     def __repr__(self) -> str:
-        return f"ConnectionMap({self._counts!r})"
+        return f"ConnectionMap({self._ordered()!r})"
 
 
 @dataclass(frozen=True)
@@ -231,7 +243,8 @@ def parse(text: str | bytes) -> FlowSystem:
     each name, and parse the directives, argument counts, references,
     self-pairs and duplicates.  So each element is built from checked fields
     without ``CriticalElement.__post_init__``, which guards the public
-    constructor only, and ConnectionMap only sorts the counts.
+    constructor only, and ConnectionMap takes the counts as they are, to be
+    sorted only if something reads them in order.
     """
     dimension: int | None = None
     label: str | None = None
@@ -336,7 +349,7 @@ def read_int(lineno: int, token: str, minimum: int = 0) -> int:
 
 def serialize(s: FlowSystem) -> str:
     """Deterministic .msf text: declaration order for elements, conn lines
-    in (source, target) order, as ConnectionMap keeps them.
+    in (source, target) order, as ConnectionMap reads them.
     parse(serialize(s)) is structurally s."""
     lines = [f"dim {s.dimension}"]
     if s.label is not None:
@@ -382,7 +395,7 @@ def validate(s: FlowSystem, strict: bool = False) -> list[Violation]:
     if strict:
         outs: dict[str, int] = {}
         ins: dict[str, int] = {}
-        for (src, dst), c in s.connections.items():
+        for (src, dst), c in s.connections._any_order():
             outs[src] = outs.get(src, 0) + c
             ins[dst] = ins.get(dst, 0) + c
         for e in s.elements:
@@ -418,11 +431,15 @@ def _check(s: FlowSystem) -> list[Violation]:
     violations = duplicates + ranges
     ranked = True  # the rank falls along every connection between known elements, so there is no cycle
 
-    for (src, dst), c in s.connections.items():
+    # Each connection's findings go with its pair; a stable sort by pair then
+    # reports them in (source, target) order, whatever order the map holds.
+    found: list[tuple[tuple[str, str], Violation]] = []
+    for pair, c in s.connections._any_order():
+        src, dst = pair
         if src not in table or dst not in table:
             missing = [x for x in (src, dst) if x not in table]
-            violations.append(
-                Violation("unknown-element", tuple(missing), f"connection {src} -> {dst} references unknown element(s) {missing}")
+            found.append(
+                (pair, Violation("unknown-element", tuple(missing), f"connection {src} -> {dst} references unknown element(s) {missing}"))
             )
             continue
         a, u, _, attractor, _, rank = table[src]
@@ -430,15 +447,17 @@ def _check(s: FlowSystem) -> list[Violation]:
         ranked = ranked and below < rank
         if u + sd < n + 1:
             message = f"c({src},{dst})={c} requires u+s >= {n + 1}, got u({src})={u}, s({dst})={sd}"
-            violations.append(Violation("dimension-rule", (src, dst), message))
+            found.append((pair, Violation("dimension-rule", (src, dst), message)))
         if attractor:
-            violations.append(
-                Violation("attractor-rule", (src,), f"attractor {src} ({a.kind}, index {a.index}) has an outgoing connection to {dst}")
+            found.append(
+                (pair, Violation("attractor-rule", (src,), f"attractor {src} ({a.kind}, index {a.index}) has an outgoing connection to {dst}"))
             )
         if repeller:
-            violations.append(
-                Violation("repeller-rule", (dst,), f"repeller {dst} ({b.kind}, index {b.index}) has an incoming connection from {src}")
+            found.append(
+                (pair, Violation("repeller-rule", (dst,), f"repeller {dst} ({b.kind}, index {b.index}) has an incoming connection from {src}"))
             )
+    found.sort(key=itemgetter(0))
+    violations += [v for _, v in found]
 
     cycle = None if ranked else _find_cycle(s)
     if cycle:

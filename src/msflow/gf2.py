@@ -83,7 +83,8 @@ class MatrixGF2:
         place = [0] * self._cols  # column c of a row moves to bit place[c]
         for j, c in enumerate(cols):
             place[c] = 1 << j
-        return MatrixGF2._from_rows([sum(place[c] for c in bits(self._rows[i])) for i in rows], len(cols))
+        moved, source = place.__getitem__, self._rows
+        return MatrixGF2._from_rows([sum(map(moved, bits(source[i]))) for i in rows], len(cols))
 
     def tolist(self) -> list[list[int]]:
         return [[r >> j & 1 for j in range(self._cols)] for r in self._rows]
@@ -123,7 +124,8 @@ def multiply(a: MatrixGF2, b: MatrixGF2) -> MatrixGF2:
     by the bits of row i of a."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    product = [reduce(xor, [b._rows[k] for k in bits(r)], 0) for r in a._rows]
+    row = b._rows.__getitem__
+    product = [reduce(xor, map(row, bits(r)), 0) for r in a._rows]
     return MatrixGF2._from_rows(product, b.cols)
 
 

@@ -28,8 +28,8 @@ from .ejcomplex import (
     PLAIN,
     PLUS,
     _alignment,
+    _diff,
     build_complex,
-    compare_matrices,
     multiply,  # noqa: F401  (unused here; the benchmark's tracer tests check that it patches this binding too)
 )
 from .flowdata import (
@@ -212,7 +212,7 @@ def _replace_orbit(s: FlowSystem, d: ChoiceDescriptor) -> FlowSystem:
         else:
             elements.append(e)
 
-    counts = {pair: c for pair, c in s.connections.items() if d.orbit not in pair}
+    counts = {pair: c for pair, c in s.connections._any_order() if d.orbit not in pair}
     counts[(d.p_name, d.q_name)] = 2
     for target, c in d.p_out:
         counts[(d.p_name, target)] = c
@@ -310,7 +310,8 @@ def verify_franks_claims(before: FlowSystem, after: PerturbationResult) -> Claim
     cx_before = build_complex(before)
     cx_after = build_complex(after.system)
     bijection = _basis_bijection(cx_before, d.orbit, d.p_name, d.q_name)
-    diff = compare_matrices(cx_before, cx_after, bijection)
+    perms = _alignment(cx_before, cx_after, bijection)  # once, for the matrices and the products
+    diff = _diff(cx_before, cx_after, perms)
 
     lower = BasisElement(d.orbit, MINUS, k)
     upper = BasisElement(d.orbit, PLUS, k + 1)
@@ -342,8 +343,8 @@ def verify_franks_claims(before: FlowSystem, after: PerturbationResult) -> Claim
 
     (prod_before,), (prod_after,) = cx_before.squares, cx_after.squares  # d_1 . d_2, the one product in dimension 2
     products_zero = prod_before.is_zero() and prod_after.is_zero()
-    # Only a nonzero product is aligned: after's onto before's bases of degrees 0 and 2.
-    products_equal = products_zero or prod_after.permuted(*_alignment(cx_before, cx_after, bijection)[::2]) == prod_before
+    # Only a nonzero product is permuted: after's onto before's bases of degrees 0 and 2.
+    products_equal = products_zero or prod_after.permuted(*perms[::2]) == prod_before
 
     return ClaimsReport(case=case, outcomes=outcomes, products_equal=products_equal, products_zero=products_zero)
 

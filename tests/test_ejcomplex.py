@@ -2,6 +2,7 @@
 the d-squared check, Betti numbers, and matrix comparison."""
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -68,6 +69,22 @@ def test_three_sphere_complex(fig6):
     assert c.boundary(3).tolist() == [[1, 1], [1, 1], [1, 1]]
     assert c.boundary(2).tolist() == [[0, 0, 0], [0, 1, 1], [1, 1, 1]]
     assert c.boundary(1).tolist() == [[1, 0, 0], [1, 0, 0]]
+
+
+def test_built_generators_cannot_be_told_from_constructed_ones():
+    # build_complex builds its generators without __post_init__.  Forty-odd
+    # generators take CPython's shared-key dict for the class past its first sizes.
+    text = "dim 2\n" + "".join(f"rest r{i} {i % 3}\n" for i in range(40)) + "orbit g 1 twisted\norbit h 0 untwisted\n"
+    built = [x for level in build_complex(parse(text)).bases for x in level]
+    constructed = [BasisElement(x.origin, x.flavor, x.degree) for x in built]
+    assert len(built) == 44
+    assert built == constructed
+    assert [hash(x) for x in built] == [hash(x) for x in constructed]
+    assert [repr(x) for x in built] == [repr(x) for x in constructed]
+    # A generator with a dict of its own (vars(x).update) would be larger.
+    assert [sys.getsizeof(vars(x)) for x in built] == [sys.getsizeof(vars(x)) for x in constructed]
+    with pytest.raises(ValueError, match="invalid flavor"):
+        replace(built[0], flavor="up")
 
 
 def test_orbit_lands_in_two_consecutive_degrees():
@@ -352,6 +369,14 @@ def test_compare_rejects_an_image_outside_the_second_basis(fig5):
     assert refusal(c, c, corr) == "correspondence is not a bijection onto the second basis in degree 1"
 
 
+def test_compare_rejects_an_image_of_the_wrong_flavor(fig5):
+    # gamma's degree-1 copy is gamma-, so gamma as a rest point is no generator of b.
+    c = build_complex(fig5)
+    corr = identity_correspondence(c)
+    corr[BasisElement("gamma", MINUS, 1)] = BasisElement("gamma", PLAIN, 1)
+    assert refusal(c, c, corr) == "correspondence is not a bijection onto the second basis in degree 1"
+
+
 # One matrix comparison as it was before matrices were compared by summing
 # permuted row masks, kept as the reference: both matrices' nonzero entries
 # as sets of (row, column) pairs, the right one's mapped onto the left axes.
@@ -442,16 +467,25 @@ def test_claims_reports_match_the_reference_comparison(monkeypatch, text, orbit)
     reports = claims_reports(parse(text), orbit)
     assert len(reports) == 6  # three sinks downstream of each orbit
     # verify_franks_claims reaches the matrix comparison through perturb's
-    # binding; these products are zero, so the reference decides the rest.
-    monkeypatch.setattr(perturb, "compare_matrices", reference_compare_matrices)
+    # bindings: the correspondence it builds, then the diff under the
+    # alignment of the bases.  The reference is handed the correspondence
+    # itself; these products are zero, so it decides the rest.
+    built = []
+    bijection = perturb._basis_bijection
+    monkeypatch.setattr(perturb, "_basis_bijection", lambda *args: built.append(bijection(*args)) or built[-1])
+    monkeypatch.setattr(perturb, "_diff", lambda a, b, perms: reference_compare_matrices(a, b, built[-1]))
     assert claims_reports(parse(text), orbit) == reports
     assert all(report.products_zero for report in reports)
 
 
-def test_products_equal_matches_the_reference_where_a_product_is_nonzero():
-    # verify_franks_claims aligns the two d_1 . d_2 products only when one is
+def test_products_equal_matches_the_reference_where_a_product_is_nonzero(monkeypatch):
+    # verify_franks_claims permutes the two d_1 . d_2 products only when one is
     # nonzero; there its verdict must be the reference comparison's, with the
-    # products multiplied afresh and the orbit's copies sent to q and p.
+    # products multiplied afresh and the orbit's copies sent to q and p.  The
+    # bases are aligned once per claims check, for the matrices and the products.
+    alignments = []
+    align = ejcomplex._alignment
+    monkeypatch.setattr(perturb, "_alignment", lambda *args: alignments.append(args) or align(*args))
     claims, nonzero = 0, 0
     for seed in range(3000):
         s = random_valid_system(random.Random(seed))
@@ -471,3 +505,4 @@ def test_products_equal_matches_the_reference_where_a_product_is_nonzero():
                 axes = [(cx.basis(0), cx.basis(2)) for cx in (before, after)]
                 assert result.claims_report.products_equal == (not reference_diff_cells(2, *products, *axes, corr)), (seed, d)
     assert (claims, nonzero) == (2601, 454)
+    assert len(alignments) == 2601

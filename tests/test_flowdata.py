@@ -587,12 +587,33 @@ CLOSE_NAMES = ["a", "a_1", "a1", "aB", "A", "ab", "a_", "A_1", "b", "aa"]
     st.randoms(use_true_random=False),
 )
 def test_connection_map_keeps_pairs_in_sorted_order(counts, rng):
-    # Names that share a prefix or differ by case, underscore or digit.
+    # Names that share a prefix or differ by case, underscore or digit.  The
+    # map sorts on its first ordered read, so each read gets a fresh map, built
+    # from shuffled and from sorted items.
     items = list(counts.items())
     rng.shuffle(items)
-    m = ConnectionMap(dict(items))
-    assert list(m.pairs()) == sorted(counts)
-    assert list(m.items()) == sorted(counts.items())
+    ordered = dict(sorted(counts.items()))
+    names = CLOSE_NAMES + ["zz"]
+    reads = {
+        "pairs": (lambda m: list(m.pairs()), list(ordered)),
+        "items": (lambda m: list(m.items()), list(ordered.items())),
+        "repr": (repr, f"ConnectionMap({ordered!r})"),
+        "hash": (hash, hash(tuple(ordered.items()))),
+        "outgoing": (
+            lambda m: [list(m.outgoing(x).items()) for x in names],
+            [[(dst, c) for (src, dst), c in ordered.items() if src == x] for x in names],
+        ),
+        "incoming": (
+            lambda m: [list(m.incoming(x).items()) for x in names],
+            [[(src, c) for (src, dst), c in ordered.items() if dst == x] for x in names],
+        ),
+    }
+    for source in (items, sorted(items)):
+        for name, (read, expected) in reads.items():
+            m = ConnectionMap(dict(source))
+            assert read(m) == expected, name
+            assert read(m) == expected, name  # and again, once sorted
+    assert ConnectionMap(dict(items)) == ConnectionMap(ordered)
 
 
 @st.composite
@@ -824,6 +845,43 @@ def test_validate_matches_the_rule_by_rule_reference(s):
     if s.dimension == 2:
         assert validate(s, strict=True) == reference_validate(s, strict=True)
     assert validate(s) == reference_validate(s)
+
+
+def broken_valid_system(rng: random.Random) -> tuple[FlowSystem, dict[tuple[str, str], int]]:
+    """A random valid system and its counts with up to six connections added
+    between random names, the undeclared zz among them: they may break the
+    dimension, attractor and repeller rules, name an unknown element, or
+    close a cycle."""
+    s = random_valid_system(rng)
+    names = [e.name for e in s.elements] + ["zz"]
+    counts = dict(s.connections.items())
+    for _ in range(rng.randint(0, 6)):
+        src, dst = rng.sample(names, 2)
+        counts[src, dst] = rng.randint(1, 3)
+    return s, counts
+
+
+def test_broken_valid_systems_break_every_connection_rule():
+    rules = set()
+    for seed in range(300):
+        s, counts = broken_valid_system(random.Random(seed))
+        rules.update(v.rule for v in validate(replace(s, connections=counts)))
+    assert rules == {"dimension-rule", "attractor-rule", "repeller-rule", "unknown-element", "acyclicity"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.randoms(use_true_random=False))
+def test_validate_reports_connections_in_order_whatever_order_the_map_holds(seed, rng):
+    # A map keeps its items in the order given until something reads them in
+    # order; validate is the first reader here, and must not depend on it.
+    s, counts = broken_valid_system(random.Random(seed))
+    items = list(counts.items())
+    rng.shuffle(items)
+    shuffled = replace(s, connections=ConnectionMap(dict(items)))
+    ordered = replace(s, connections=ConnectionMap(dict(sorted(items))))
+    assert validate(shuffled) == validate(ordered) == reference_validate(ordered)
+    if s.dimension == 2:
+        assert validate(shuffled, strict=True) == validate(ordered, strict=True) == reference_validate(ordered, strict=True)
 
 
 def counting_cycle_searches(monkeypatch):
