@@ -41,7 +41,6 @@ from .perturb import (
     enumerate_choices_2d,
     parse_choice,
     resolve_all_detailed,
-    serialize_choice,
     verify_franks_claims,
 )
 from .poset import (
@@ -53,7 +52,6 @@ from .poset import (
     Verdict,
     cell_equivalence_verdict,
     census,
-    check_mapping,
     face_poset,
     invariant_profile,
     is_isomorphic,
@@ -97,7 +95,6 @@ __all__ = [
     "verify_franks_claims",
     "resolve_all_detailed",
     "parse_choice",
-    "serialize_choice",
     "LabeledPoset",
     "Profile",
     "IsoVerdict",
@@ -108,7 +105,6 @@ __all__ = [
     "parse_poset",
     "invariant_profile",
     "is_isomorphic",
-    "check_mapping",
     "cell_equivalence_verdict",
     "census",
     "__version__",

@@ -461,11 +461,3 @@ def parse_choice(text: str | bytes) -> ChoiceDescriptor:
         q_in=maps["qin"],
     )
 
-
-def serialize_choice(d: ChoiceDescriptor) -> str:
-    """Deterministic .msc text for a descriptor."""
-    lines = [f"orbit {d.orbit}", f"new {d.p_name} {d.q_name}"]
-    for tag, items in (("pout", d.p_out), ("qout", d.q_out), ("pin", d.p_in), ("qin", d.q_in)):
-        for name, c in items:
-            lines.append(f"{tag} {name} {c}")
-    return "\n".join(lines) + "\n"

@@ -259,14 +259,6 @@ class IsoVerdict:
         return dict(self.mapping or ())
 
 
-def check_mapping(a: LabeledPoset, b: LabeledPoset, mapping: Mapping[str, str]) -> bool:
-    """Is the given node bijection a label-preserving order isomorphism?"""
-    m = dict(mapping)
-    if sorted(m) != sorted(a.nodes) or sorted(m.values()) != sorted(b.nodes):
-        return False
-    return all(a.label(x) == b.label(m[x]) for x in a.nodes) and _preserves_order(a, b, [b._at(m[x]) for x in a.nodes])
-
-
 def _profile_certificate(pa: Profile, pb: Profile) -> str | None:
     if pa.label_counts != pb.label_counts:
         fmt = lambda p: "{" + ", ".join(f"{l}:{c}" for l, c in p.label_counts) + "}"  # noqa: E731
@@ -475,6 +467,20 @@ class CensusReport:
     classes: tuple[CensusClass, ...]
 
 
+def _twins(s: FlowSystem) -> list[list[str]]:
+    """Each class of twins next to a closed orbit, in declaration order:
+    rest points of one index with one multiset of (direction, neighbour,
+    count).  Swapping two maps s onto itself; no twin is its own neighbour."""
+    orbits, hood, groups = {e.name for e in s.elements if e.is_orbit}, defaultdict(list), defaultdict(list)
+    for (src, dst), c in s.connections._any_order():
+        hood[src].append((1, dst, c))
+        hood[dst].append((0, src, c))
+    for e in s.elements:
+        if e.is_rest and orbits.intersection(x for _, x, _ in hood[e.name]):
+            groups[e.index, tuple(sorted(hood[e.name]))].append(e.name)
+    return [g for g in groups.values() if len(g) > 1]
+
+
 def census(s: FlowSystem) -> CensusReport:
     """Resolve every orbit in all enumerable ways and group the resulting
     gradient-like systems by face-poset isomorphism.  Classes are reported in
@@ -486,12 +492,16 @@ def census(s: FlowSystem) -> CensusReport:
     once and each step down adds q and then p to a copy of the parent's
     masks, leaving out edges to orbits not yet resolved: they come back
     with that orbit's choice.  A choice's neighbours are looked up once per
-    call, as every branch gives a name the same index.  A leaf's face poset
-    is read off its masks, and each node's signature (see _signatures, on
-    label masks built once per call) is interned as an int local to the
-    call.  A leaf is searched only against the classes whose key, the
-    sorted ids, it shares, from a plan built on each class's first poset at
-    its first search."""
+    call, as every branch gives a name the same index.  A leaf's twin key is
+    its choices with each class of twins (see _twins) read as the sorted
+    multiset of its members' counts by depth and field.  A leaf whose key
+    was seen is an earlier leaf with twins swapped, an automorphism of s that
+    the walk commutes with, so it joins that leaf's class with no masks,
+    poset or search.  Any other leaf's face poset is read off its masks, and
+    each node's signature (see _signatures, on label masks built once per
+    call) is interned as an int local to the call.  It is searched only
+    against the classes whose key, the sorted ids, it shares, from a plan
+    built on each class's first poset at its first search."""
     at, slots, labels = {}, {}, []  # each node's index and each orbit's p index, by name; the final labels
     for e in s.elements:
         (slots if e.is_orbit else at)[e.name] = len(labels)
@@ -505,8 +515,8 @@ def census(s: FlowSystem) -> CensusReport:
     classes: list[list] = []  # each class's members
     by_key: dict[tuple[int, ...], list[list]] = {}  # key -> [first poset, its ids, its plan, members] per class
     intern = defaultdict(itertools.count().__next__)  # a signature -> the next int, at its first lookup
-    rows: dict[int, tuple] = {}  # id(choice) -> (the choice, kept so its id is not reused; (index, below, above) of q, p)
-    order = []
+    rows: dict[int, tuple] = {}  # id(choice) -> (the choice, so its id stays unique; (index, below, above) of q, p; twin key parts)
+    order, twins, joined, key = [], _twins(s), {}, None  # joined: a twin key -> the class of its first leaf; None if no twins
     for chosen, _ in _resolution_tree(s):
         if depth := len(chosen):
             d = chosen[-1]
@@ -515,7 +525,18 @@ def census(s: FlowSystem) -> CensusReport:
                 at[d.q_name] = p + 1
                 later = orbits[depth:]  # edges to these come back with their choices
                 look = lambda side: [at[x] for x, _ in side if x not in later]  # noqa: E731
-                rows[id(d)] = d, ((p + 1, look(d.q_out), look(d.q_in)), (p, look(((d.q_name, 2),) + d.p_out), look(d.p_in)))
+                fields = (d.p_out, d.q_out, d.p_in, d.q_in)
+                used = {x: tuple(dict(side).get(x, 0) for side in fields) for g in twins for x in g}  # a twin's count per field
+                plain = tuple(tuple(item for item in side if item[0] not in used) for side in fields)  # the rest of d
+                q_row, p_row = (p + 1, look(d.q_out), look(d.q_in)), (p, look(((d.q_name, 2),) + d.p_out), look(d.p_in))
+                rows[id(d)] = d, (q_row, p_row), plain, used
+        if twins and depth == len(orbits):
+            parts = [rows[id(d)] for d in chosen]
+            key = (*(r[2] for r in parts), *(tuple(sorted(tuple(r[3][x] for r in parts) for x in g)) for g in twins))
+            if key in joined:
+                joined[key].append(chosen)
+                continue
+        if depth:
             down, up = map(list, masks[depth - 1])
             for v, below, above in rows[id(d)][1]:
                 dv = reduce(or_, map(down.__getitem__, below), 1 << v)
@@ -540,6 +561,7 @@ def census(s: FlowSystem) -> CensusReport:
                 members.append(chosen)
                 break
         else:
-            bucket.append([poset, ids, (), [chosen]])
-            classes.append(bucket[-1][3])
+            bucket.append([poset, ids, (), members := [chosen]])
+            classes.append(members)
+        joined[key] = members
     return CensusReport(total=sum(map(len, classes)), classes=tuple(CensusClass(tuple(members)) for members in classes))

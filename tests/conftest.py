@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from msflow import ConnectionMap, CriticalElement, FlowSystem, LabeledPoset, parse
+from msflow import ChoiceDescriptor, ConnectionMap, CriticalElement, FlowSystem, LabeledPoset, parse
 from msflow.cli import fixtures_dir
+from msflow.poset import _preserves_order
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -47,6 +48,23 @@ def structure(s: FlowSystem) -> tuple:
 def shuffled(p: LabeledPoset, mapping: dict[str, str], order: list[str]) -> LabeledPoset:
     """A copy of p with nodes renamed by ``mapping`` and declared in ``order``."""
     return LabeledPoset({mapping[x]: p.label(x) for x in order}, [(mapping[a], mapping[b]) for a, b in p.covers()])
+
+
+def check_mapping(a: LabeledPoset, b: LabeledPoset, mapping: dict[str, str]) -> bool:
+    """Is the given node bijection a label-preserving order isomorphism?"""
+    m = dict(mapping)
+    if sorted(m) != sorted(a.nodes) or sorted(m.values()) != sorted(b.nodes):
+        return False
+    return all(a.label(x) == b.label(m[x]) for x in a.nodes) and _preserves_order(a, b, [b._at(m[x]) for x in a.nodes])
+
+
+def serialize_choice(d: ChoiceDescriptor) -> str:
+    """Deterministic .msc text for a descriptor, for round trips through parse_choice."""
+    lines = [f"orbit {d.orbit}", f"new {d.p_name} {d.q_name}"]
+    for tag, items in (("pout", d.p_out), ("qout", d.q_out), ("pin", d.p_in), ("qin", d.q_in)):
+        for name, c in items:
+            lines.append(f"{tag} {name} {c}")
+    return "\n".join(lines) + "\n"
 
 
 def all_msf_fixtures() -> list[str]:

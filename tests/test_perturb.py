@@ -24,7 +24,6 @@ from msflow import (
     parse_choice,
     resolve_all_detailed,
     serialize,
-    serialize_choice,
     validate,
     verify_franks_claims,
 )
@@ -32,7 +31,15 @@ from msflow import ParseError
 from msflow import perturb as perturb_module
 from msflow.perturb import _replace_orbit, validate_choice
 
-from conftest import load_fixture, orbits_over_sinks, random_valid_system, soup_systems, structure, systems_with_orbits
+from conftest import (
+    load_fixture,
+    orbits_over_sinks,
+    random_valid_system,
+    serialize_choice,
+    soup_systems,
+    structure,
+    systems_with_orbits,
+)
 
 
 def fig3_choices(fig3):
