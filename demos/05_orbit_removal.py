@@ -24,9 +24,9 @@ for choice in choices:
     result = apply_choice(system, choice)
     report = result.claims_report
     claims = " ".join(f"{o.name}={'pass' if o.passed else 'FAIL'}" for o in report.outcomes)
-    print(f"  q_out={choice.q_out_counts()}  claims: {claims}")
+    print(f"  q_out={dict(choice.q_out)}  claims: {claims}")
 
 print()
 print("the replacement with both separatrices on distinct sinks q0, q1:")
-chosen = next(c for c in choices if c.q_out_counts() == {"q0": 1, "q1": 1})
+chosen = next(c for c in choices if dict(c.q_out) == {"q0": 1, "q1": 1})
 print(serialize(apply_choice(system, chosen).system), end="")

@@ -114,10 +114,10 @@ def descriptor_payload(d: perturb.ChoiceDescriptor) -> dict:
         "orbit": d.orbit,
         "p": d.p_name,
         "q": d.q_name,
-        "p_out": d.p_out_counts(),
-        "q_out": d.q_out_counts(),
-        "p_in": d.p_in_counts(),
-        "q_in": d.q_in_counts(),
+        "p_out": dict(d.p_out),
+        "q_out": dict(d.q_out),
+        "p_in": dict(d.p_in),
+        "q_in": dict(d.q_in),
     }
 
 

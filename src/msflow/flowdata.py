@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import itemgetter, or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")  # \Z, not $: a final newline is no part of a name
 
@@ -69,14 +69,6 @@ class CriticalElement:
     def is_orbit(self) -> bool:
         return self.kind == ORBIT
 
-    def unstable_dim(self) -> int:
-        """Dimension of the unstable manifold (index, or index+1 for orbits)."""
-        return self.index + 1 if self.is_orbit else self.index
-
-    def stable_dim(self, n: int) -> int:
-        """Dimension of the stable manifold in an n-manifold."""
-        return n - self.index
-
 
 class ConnectionMap:
     """Sparse map (source name, target name) -> positive integer count.
@@ -106,11 +98,8 @@ class ConnectionMap:
     def _ordered(self) -> dict[tuple[str, str], int]:
         """The counts in (source, target) order, sorted on the first call."""
         if not self._sorted:
-            # Sorting by target, then stably by source, beats one sort of the (pair, count) items on unsorted input.
             counts = self._counts
-            pairs = sorted(counts, key=itemgetter(1))
-            pairs.sort(key=itemgetter(0))
-            self._counts, self._sorted = {pair: counts[pair] for pair in pairs}, True
+            self._counts, self._sorted = {pair: counts[pair] for pair in sorted(counts)}, True
         return self._counts
 
     def _any_order(self) -> Iterable[tuple[tuple[str, str], int]]:
@@ -495,63 +484,3 @@ def _find_cycle(s: FlowSystem) -> list[str] | None:
                 position[path.pop()] = -2
                 stack.pop()
     return None
-
-
-# ---------------------------------------------------------------------------
-# Transitive closure
-
-
-def closure_masks(children: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """Reflexive-transitive closure of the digraph on nodes 0..n-1 given by
-    ``children``, both ways, as int masks: bit j of ``down[i]`` is set when j
-    is reachable from i, and bit j of ``up[i]`` when i is reachable from j.
-
-    One iterative depth-first pass ORs each node's children's masks into its
-    ``down``; the nodes of a cycle (a strongly connected component, found as
-    in Tarjan's algorithm) all get the union of theirs.  Components close
-    after every component they reach, so a pass over them in reverse order
-    hands each finished ``up`` on to the children."""
-    n = len(children)
-    down = [1 << i for i in range(n)]
-    low = [0] * n  # 0 unseen; while open, the lowest open position (from 1) it reaches; n + 1 once closed
-    open_nodes: list[int] = []
-    closed: list[list[int]] = []
-    for root in range(n):
-        if low[root]:
-            continue
-        open_nodes.append(root)
-        low[root] = 1
-        stack = [(root, iter(children[root]))]
-        while stack:
-            v, rest = stack[-1]
-            for w in rest:
-                if not low[w]:
-                    open_nodes.append(w)
-                    low[w] = len(open_nodes)
-                    stack.append((w, iter(children[w])))
-                    break
-                down[v] |= down[w]
-                if low[w] < low[v]:
-                    low[v] = low[w]
-            else:
-                stack.pop()
-                if open_nodes[low[v] - 1] == v:  # v is the first open node of its component
-                    members = open_nodes[low[v] - 1 :]
-                    del open_nodes[low[v] - 1 :]
-                    union = reduce(or_, [down[w] for w in members])
-                    for w in members:
-                        down[w], low[w] = union, n + 1
-                    closed.append(members)
-                if stack:
-                    u = stack[-1][0]
-                    down[u] |= down[v]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-    up = [1 << i for i in range(n)]
-    for members in reversed(closed):
-        union = reduce(or_, [up[w] for w in members])
-        for w in members:
-            up[w] = union
-            for child in children[w]:
-                up[child] |= union
-    return down, up

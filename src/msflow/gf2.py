@@ -18,7 +18,7 @@ class MatrixGF2:
     """An immutable 0/1 matrix over GF(2).
 
     Accepts any nested sequence of 0/1 entries that support ``__index__``.
-    Use ``zeros``/``identity``/``from_ones`` for the common constructors.
+    Use ``zeros``/``from_ones`` for the common constructors.
     """
 
     __slots__ = ("_rows", "_cols")
@@ -47,10 +47,6 @@ class MatrixGF2:
         if rows < 0 or cols < 0:
             raise ValueError(f"dimensions must be non-negative, got {rows} x {cols}")
         return cls._from_rows([0] * rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "MatrixGF2":
-        return cls._from_rows([1 << i for i in range(n)], n)
 
     @classmethod
     def from_ones(cls, rows: int, cols: int, positions: Iterable[tuple[int, int]]) -> "MatrixGF2":
@@ -137,7 +133,7 @@ def add(a: MatrixGF2, b: MatrixGF2) -> MatrixGF2:
 
 
 def _lowest(r: int) -> int:
-    """Pivot rule of ``row_reduce``: the lowest set bit, as its bit length."""
+    """Pivot rule of ``rref``: the lowest set bit, as its bit length."""
     return (r & -r).bit_length()
 
 
@@ -155,8 +151,9 @@ def _echelon(rows: Iterable[int], pivot: Callable[[int], int]) -> dict[int, int]
     return basis
 
 
-def row_reduce(m: MatrixGF2) -> tuple[MatrixGF2, tuple[int, ...]]:
-    """Reduced row-echelon form and pivot columns, via XOR elimination."""
+def rref(m: MatrixGF2) -> MatrixGF2:
+    """Reduced row-echelon form of ``m``, via XOR elimination; each nonzero
+    row's pivot column is its lowest set bit."""
     basis = _echelon(m._rows, _lowest)
     pivots = tuple(p - 1 for p in sorted(basis))
     reduced = [basis[p + 1] for p in pivots]
@@ -167,13 +164,7 @@ def row_reduce(m: MatrixGF2) -> tuple[MatrixGF2, tuple[int, ...]]:
             if reduced[h] >> pivots[i] & 1:
                 reduced[h] ^= reduced[i]
     reduced += [0] * (m.rows - len(reduced))
-    return MatrixGF2._from_rows(reduced, m.cols), pivots
-
-
-def rref(m: MatrixGF2) -> MatrixGF2:
-    """Reduced row-echelon form of ``m``."""
-    reduced, _ = row_reduce(m)
-    return reduced
+    return MatrixGF2._from_rows(reduced, m.cols)
 
 
 def rank(m: MatrixGF2) -> int:

@@ -91,18 +91,6 @@ class ChoiceDescriptor:
         for field_name in ("p_out", "q_out", "p_in", "q_in"):
             object.__setattr__(self, field_name, _freeze_counts(getattr(self, field_name)))
 
-    def p_out_counts(self) -> dict[str, int]:
-        return dict(self.p_out)
-
-    def q_out_counts(self) -> dict[str, int]:
-        return dict(self.q_out)
-
-    def p_in_counts(self) -> dict[str, int]:
-        return dict(self.p_in)
-
-    def q_in_counts(self) -> dict[str, int]:
-        return dict(self.q_in)
-
     def summary(self) -> str:
         parts = [f"orbit {self.orbit} -> ({self.p_name}, {self.q_name})"]
         for tag, items in (("p_out", self.p_out), ("q_out", self.q_out), ("p_in", self.p_in), ("q_in", self.q_in)):
@@ -163,20 +151,20 @@ def validate_choice(s: FlowSystem, d: ChoiceDescriptor) -> None:
     up = s.connections.incoming(d.orbit)
 
     for tag, counts, allowed in (
-        ("p_out", d.p_out_counts(), down),
-        ("q_out", d.q_out_counts(), down),
-        ("p_in", d.p_in_counts(), up),
-        ("q_in", d.q_in_counts(), up),
+        ("p_out", dict(d.p_out), down),
+        ("q_out", dict(d.q_out), down),
+        ("p_in", dict(d.p_in), up),
+        ("q_in", dict(d.q_in), up),
     ):
         stray = sorted(set(counts) - set(allowed))
         if stray:
             direction = "downstream" if tag.endswith("out") else "upstream"
             raise ChoiceError("support", f"{tag} targets {stray} are not {direction} of {d.orbit}")
 
-    uncovered_down = sorted(set(down) - set(d.p_out_counts()) - set(d.q_out_counts()))
+    uncovered_down = sorted(set(down).difference(dict(d.p_out), dict(d.q_out)))
     if uncovered_down:
         raise ChoiceError("coverage", f"downstream element(s) {uncovered_down} of {d.orbit} received no new connection")
-    uncovered_up = sorted(set(up) - set(d.p_in_counts()) - set(d.q_in_counts()))
+    uncovered_up = sorted(set(up).difference(dict(d.p_in), dict(d.q_in)))
     if uncovered_up:
         raise ChoiceError("coverage", f"upstream element(s) {uncovered_up} of {d.orbit} received no new connection")
 

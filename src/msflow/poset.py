@@ -19,7 +19,7 @@ from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
 from .ejcomplex import InvalidSystemError
-from .flowdata import NAME_RE, FlowSystem, ParseError, closure_masks, directive_lines, read_int, validate
+from .flowdata import NAME_RE, FlowSystem, ParseError, directive_lines, read_int, validate
 from .gf2 import bits
 from .perturb import ChoiceDescriptor, _resolution_tree
 
@@ -84,18 +84,8 @@ class LabeledPoset:
     def labels(self) -> dict[str, int]:
         return dict(zip(self._nodes, self._labels))
 
-    def leq(self, a: str, b: str) -> bool:
-        """True when a <= b."""
-        try:
-            return bool(self._down[self._at(b)] >> self._at(a) & 1)
-        except ValueError:
-            raise ValueError(f"unknown node in leq({a!r}, {b!r})") from None
-
     def downset(self, name: str) -> frozenset[str]:
         return frozenset(self._nodes[i] for i in bits(self._down[self._at(name)]))
-
-    def upset(self, name: str) -> frozenset[str]:
-        return frozenset(self._nodes[i] for i in bits(self._up[self._at(name)]))
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse diagram: pairs (a, b) with a < b and nothing strictly between.
@@ -138,6 +128,66 @@ class LabeledPoset:
 def _preserves_order(a: LabeledPoset, b: LabeledPoset, perm: Sequence[int]) -> bool:
     """Does sending a's node i to b's node ``perm[i]`` carry a's down-sets onto b's?"""
     return all(sum(1 << perm[j] for j in bits(down)) == b._down[perm[i]] for i, down in enumerate(a._down))
+
+
+# ---------------------------------------------------------------------------
+# Transitive closure
+
+
+def closure_masks(children: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Reflexive-transitive closure of the digraph on nodes 0..n-1 given by
+    ``children``, both ways, as int masks: bit j of ``down[i]`` is set when j
+    is reachable from i, and bit j of ``up[i]`` when i is reachable from j.
+
+    One iterative depth-first pass ORs each node's children's masks into its
+    ``down``; the nodes of a cycle (a strongly connected component, found as
+    in Tarjan's algorithm) all get the union of theirs.  Components close
+    after every component they reach, so a pass over them in reverse order
+    hands each finished ``up`` on to the children."""
+    n = len(children)
+    down = [1 << i for i in range(n)]
+    low = [0] * n  # 0 unseen; while open, the lowest open position (from 1) it reaches; n + 1 once closed
+    open_nodes: list[int] = []
+    closed: list[list[int]] = []
+    for root in range(n):
+        if low[root]:
+            continue
+        open_nodes.append(root)
+        low[root] = 1
+        stack = [(root, iter(children[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if not low[w]:
+                    open_nodes.append(w)
+                    low[w] = len(open_nodes)
+                    stack.append((w, iter(children[w])))
+                    break
+                down[v] |= down[w]
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                stack.pop()
+                if open_nodes[low[v] - 1] == v:  # v is the first open node of its component
+                    members = open_nodes[low[v] - 1 :]
+                    del open_nodes[low[v] - 1 :]
+                    union = reduce(or_, [down[w] for w in members])
+                    for w in members:
+                        down[w], low[w] = union, n + 1
+                    closed.append(members)
+                if stack:
+                    u = stack[-1][0]
+                    down[u] |= down[v]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+    up = [1 << i for i in range(n)]
+    for members in reversed(closed):
+        union = reduce(or_, [up[w] for w in members])
+        for w in members:
+            up[w] = union
+            for child in children[w]:
+                up[child] |= union
+    return down, up
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +469,6 @@ class Verdict:
     possibly_equivalent: bool
     summary: str
     certificate: str | None = None
-    iso: IsoVerdict | None = None
 
 
 def cell_equivalence_verdict(a: FlowSystem, b: FlowSystem) -> Verdict:
@@ -439,13 +488,8 @@ def cell_equivalence_verdict(a: FlowSystem, b: FlowSystem) -> Verdict:
         )
     verdict = is_isomorphic(face_poset(a), face_poset(b))
     if not verdict.isomorphic:
-        return Verdict(
-            possibly_equivalent=False,
-            summary=NOT_EQUIVALENT,
-            certificate=verdict.certificate,
-            iso=verdict,
-        )
-    return Verdict(possibly_equivalent=True, summary=INCONCLUSIVE, iso=verdict)
+        return Verdict(possibly_equivalent=False, summary=NOT_EQUIVALENT, certificate=verdict.certificate)
+    return Verdict(possibly_equivalent=True, summary=INCONCLUSIVE)
 
 
 # ---------------------------------------------------------------------------

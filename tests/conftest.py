@@ -45,6 +45,11 @@ def structure(s: FlowSystem) -> tuple:
     return s.dimension, s.elements, s.connections
 
 
+def unstable_dim(e: CriticalElement) -> int:
+    """Dimension of e's unstable manifold: its index, plus one for an orbit."""
+    return e.index + 1 if e.is_orbit else e.index
+
+
 def shuffled(p: LabeledPoset, mapping: dict[str, str], order: list[str]) -> LabeledPoset:
     """A copy of p with nodes renamed by ``mapping`` and declared in ``order``."""
     return LabeledPoset({mapping[x]: p.label(x) for x in order}, [(mapping[a], mapping[b]) for a, b in p.covers()])
@@ -101,9 +106,9 @@ def random_valid_system(rng: random.Random, *, max_elements: int = 8) -> FlowSys
                 continue  # source: no incoming
             if b.is_orbit and b.index == n - 1:
                 continue  # repelling orbit: no incoming
-            if a.unstable_dim() <= b.unstable_dim():
+            if unstable_dim(a) <= unstable_dim(b):
                 continue  # keep the digraph acyclic
-            if a.unstable_dim() + b.stable_dim(n) < n + 1:
+            if unstable_dim(a) + n - b.index < n + 1:
                 continue  # dimension rule
             if rng.random() < 0.5:
                 counts[(a.name, b.name)] = rng.randint(1, 3)

@@ -25,9 +25,10 @@ from msflow import (
 )
 import msflow
 from msflow import flowdata
-from msflow.flowdata import _find_cycle, closure_masks
+from msflow.flowdata import _find_cycle
+from msflow.poset import closure_masks
 
-from conftest import all_msf_fixtures, fixture_path, load_fixture, random_valid_system, soup_systems, torus_grid_text
+from conftest import all_msf_fixtures, fixture_path, load_fixture, random_valid_system, soup_systems, torus_grid_text, unstable_dim
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +46,6 @@ def test_element_index_validation():
         CriticalElement("g", "orbit", 1)  # orbits must declare twistedness
     with pytest.raises(ValueError):
         CriticalElement("2bad", "rest", 0)
-
-
-def test_unstable_and_stable_dimensions():
-    saddle = CriticalElement("s", "rest", 1)
-    orbit = CriticalElement("g", "orbit", 1, twisted=False)
-    assert saddle.unstable_dim() == 1 and saddle.stable_dim(2) == 1
-    assert orbit.unstable_dim() == 2 and orbit.stable_dim(2) == 1
 
 
 def test_connection_map_rejects_self_pairs_and_bad_counts():
@@ -589,9 +583,11 @@ CLOSE_NAMES = ["a", "a_1", "a1", "aB", "A", "ab", "a_", "A_1", "b", "aa"]
 def test_connection_map_keeps_pairs_in_sorted_order(counts, rng):
     # Names that share a prefix or differ by case, underscore or digit.  The
     # map sorts on its first ordered read, so each read gets a fresh map, built
-    # from shuffled and from sorted items.
+    # from shuffled items, from sorted ones, and from sorted ones with the rest
+    # appended, as a map with a replaced orbit's pairs added holds them.
     items = list(counts.items())
     rng.shuffle(items)
+    k = rng.randint(0, len(items))
     ordered = dict(sorted(counts.items()))
     names = CLOSE_NAMES + ["zz"]
     reads = {
@@ -608,7 +604,7 @@ def test_connection_map_keeps_pairs_in_sorted_order(counts, rng):
             [[(src, c) for (src, dst), c in ordered.items() if dst == x] for x in names],
         ),
     }
-    for source in (items, sorted(items)):
+    for source in (items, sorted(items), sorted(items[k:]) + items[:k]):
         for name, (read, expected) in reads.items():
             m = ConnectionMap(dict(source))
             assert read(m) == expected, name
@@ -786,7 +782,7 @@ def reference_validate(s, strict=False):
             violations.append(Violation("unknown-element", tuple(missing), message))
             continue
         a, b = known[src], known[dst]
-        u, sd = a.unstable_dim(), b.stable_dim(n)
+        u, sd = unstable_dim(a), n - b.index
         if u + sd < n + 1:
             message = f"c({src},{dst})={c} requires u+s >= {n + 1}, got u({src})={u}, s({dst})={sd}"
             violations.append(Violation("dimension-rule", (src, dst), message))

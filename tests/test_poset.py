@@ -45,6 +45,11 @@ def load_pos(name):
     return parse_poset(fixture_path(name).read_text())
 
 
+def upset(p: LabeledPoset, x: str) -> frozenset[str]:
+    """The nodes whose down-sets hold x."""
+    return frozenset(y for y in p.nodes if x in p.downset(y))
+
+
 @pytest.fixture
 def two_cells():
     """The bundled pair of four-cell complexes that differ only in where the
@@ -60,10 +65,10 @@ def test_parse_poset_builds_the_closure(two_cells):
     y, _ = two_cells
     assert set(y.nodes) == {"a", "b", "c", "d"}
     assert y.labels() == {"a": 0, "b": 0, "c": 1, "d": 2}
-    assert y.leq("a", "c") and y.leq("b", "c") and y.leq("a", "d")
-    assert y.leq("a", "a")  # reflexive
-    assert not y.leq("c", "d")
-    assert not y.leq("c", "a")
+    assert "a" in y.downset("c") and "b" in y.downset("c") and "a" in y.downset("d")
+    assert "a" in y.downset("a")  # reflexive
+    assert "c" not in y.downset("d")
+    assert "c" not in y.downset("a")
 
 
 def test_parse_poset_errors():
@@ -86,7 +91,7 @@ def test_parse_poset_accepts_only_ascii_digit_labels(token):
 
 def test_transitivity_through_chains():
     p = parse_poset("node x 0\nnode y 1\nnode z 2\nlt x y\nlt y z\n")
-    assert p.leq("x", "z")
+    assert "x" in p.downset("z")
     assert p.covers() == [("x", "y"), ("y", "z")]
 
 
@@ -108,7 +113,7 @@ def reference_covers(p: LabeledPoset) -> list[tuple[str, str]]:
         (a, b)
         for b in p.nodes
         for a in p.downset(b)
-        if a != b and not any(c not in (a, b) and p.leq(a, c) for c in p.downset(b))
+        if a != b and not any(c not in (a, b) and a in p.downset(c) for c in p.downset(b))
     )
 
 
@@ -169,7 +174,7 @@ def grid_poset(m: int, klein: bool = False) -> LabeledPoset:
 def test_downset_upset_and_len(two_cells):
     y, _ = two_cells
     assert y.downset("c") == {"a", "b", "c"}
-    assert y.upset("a") == {"a", "c", "d"}
+    assert upset(y, "a") == {"a", "c", "d"}
     assert len(y) == 4 and "a" in y and "z" not in y
 
 
@@ -203,8 +208,8 @@ def test_face_poset_nodes_and_labels():
 def test_face_poset_order_follows_connections():
     s = parse("dim 2\nrest q 0\nrest s 1\nrest p 2\nconn p s 2\nconn s q 2\n")
     poset = face_poset(s)
-    assert poset.leq("q", "s") and poset.leq("s", "p") and poset.leq("q", "p")
-    assert not poset.leq("p", "q")
+    assert "q" in poset.downset("s") and "s" in poset.downset("p") and "q" in poset.downset("p")
+    assert "p" not in poset.downset("q")
 
 
 def test_face_poset_rejects_systems_with_orbits(fig5):
@@ -217,7 +222,7 @@ def test_face_poset_labels_strictly_decrease_downward():
         p = face_poset(load_fixture(name))
         for x in p.nodes:
             for y in p.nodes:
-                if x != y and p.leq(x, y):
+                if x != y and x in p.downset(y):
                     assert p.label(x) < p.label(y)
 
 
@@ -282,7 +287,7 @@ def reference_signature(p: LabeledPoset, name: str):
     its down-set, then in its up-set, zeros included."""
     present = sorted({p.label(x) for x in p.nodes})
     down = Counter(p.label(x) for x in p.downset(name))
-    up = Counter(p.label(x) for x in p.upset(name))
+    up = Counter(p.label(x) for x in upset(p, name))
     return (p.label(name), *(down[l] for l in present), *(up[l] for l in present))
 
 
@@ -294,7 +299,7 @@ def nested_signature(p: LabeledPoset, name: str):
     """The signature in the form that leaves the zeros out: (label, label
     counts of the down-set, label counts of the up-set)."""
     down = Counter(p.label(x) for x in p.downset(name))
-    up = Counter(p.label(x) for x in p.upset(name))
+    up = Counter(p.label(x) for x in upset(p, name))
     return (p.label(name), tuple(sorted(down.items())), tuple(sorted(up.items())))
 
 
@@ -306,7 +311,7 @@ def reference_profile(p: LabeledPoset, signature=reference_signature):
     label_counts = tuple((l, len(by_label[l])) for l in labels)
     downset_sizes = tuple((l, tuple(sorted(len(p.downset(x)) for x in by_label[l]))) for l in labels)
     incidence = tuple(
-        (low, high, tuple(sorted(sum(1 for y in p.upset(x) if p.label(y) == high) for x in by_label[low])))
+        (low, high, tuple(sorted(sum(1 for y in upset(p, x) if p.label(y) == high) for x in by_label[low])))
         for low in labels
         for high in labels
         if low < high
@@ -546,13 +551,13 @@ def reference_plan(a: LabeledPoset, sig_a):
     index = {x: i for i, x in enumerate(a.nodes)}
     count = Counter(sig_a)
     rank = {x: (count[sig_a[index[x]]], x) for x in a.nodes}
-    near = {x: (a.downset(x) | a.upset(x)) - {x} for x in a.nodes}
+    near = {x: (a.downset(x) | upset(a, x)) - {x} for x in a.nodes}
     placed, unplaced, stands = set(), set(a.nodes), []
     order = []
     while unplaced:
         x = min(unplaced, key=lambda x: (-len(near[x] & placed), rank[x]))
         unplaced.remove(x)
-        below, above = (sorted(index[y] for y in side(x) & unplaced) for side in (a.downset, a.upset))
+        below, above = (sorted(index[y] for y in side(x) & unplaced) for side in (a.downset, lambda x: upset(a, x)))
         stands.append((below, above, len(near[x] & placed)))
         placed.add(x)
         order.append(index[x])
@@ -613,7 +618,10 @@ def reference_search(a: LabeledPoset, b: LabeledPoset):
         for y in sorted(candidates[x], key=lambda y: (y != x, y)):
             if y in assignment.values():
                 continue
-            if any(a.leq(x, x0) != b.leq(y, y0) or a.leq(x0, x) != b.leq(y0, y) for x0, y0 in assignment.items()):
+            if any(
+                (x in a.downset(x0)) != (y in b.downset(y0)) or (x0 in a.downset(x)) != (y0 in b.downset(y))
+                for x0, y0 in assignment.items()
+            ):
                 continue
             assignment[x] = y
             if extend(i + 1):
@@ -638,7 +646,7 @@ def test_search_returns_the_recursive_searchs_witness(p, rng, rename):
     if not rename and len(p) >= 2:
         x, y = rng.sample(list(p.nodes), 2)
         relations = [(u, v) for v in p.nodes for u in p.downset(v) if u != v]
-        if p.leq(x, y) or p.leq(y, x):
+        if x in p.downset(y) or y in p.downset(x):
             relations = [r for r in relations if r not in ((x, y), (y, x))]
         elif int(x[1:]) < int(y[1:]):
             relations.append((x, y))
@@ -1166,8 +1174,8 @@ def test_masks_match_the_frozenset_definitions(inputs, rng):
     up = {x: frozenset(y for y in labels if x in down[y]) for x in labels}
     assert p.nodes == tuple(labels)
     for x in labels:
-        assert p.downset(x) == down[x] and p.upset(x) == up[x]
-        assert [p.leq(x, y) for y in labels] == [x in down[y] for y in labels]
+        assert p.downset(x) == down[x]
+    assert p._up == [sum(1 << i for i, y in enumerate(labels) if y in up[x]) for x in labels]
     assert p.covers() == sorted(
         (a, b) for b in labels for a in down[b] - {b} if not any(a in down[c] for c in down[b] - {a, b})
     )
@@ -1200,12 +1208,12 @@ def test_masks_match_the_frozenset_definitions(inputs, rng):
 
 
 def reference_check_mapping(a, b, m) -> bool:
-    """The O(n^2) definition: a bijection keeping labels and every leq."""
+    """The O(n^2) definition: a bijection keeping labels and every order relation."""
     if sorted(m) != sorted(a.nodes) or sorted(m.values()) != sorted(b.nodes):
         return False
     if any(a.label(x) != b.label(m[x]) for x in a.nodes):
         return False
-    return all(a.leq(x, y) == b.leq(m[x], m[y]) for x in a.nodes for y in a.nodes)
+    return all((x in a.downset(y)) == (m[x] in b.downset(m[y])) for x in a.nodes for y in a.nodes)
 
 
 @settings(max_examples=200, deadline=None)
