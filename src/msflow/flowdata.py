@@ -228,7 +228,7 @@ def parse(text: str | bytes) -> FlowSystem:
     Only syntax and referential integrity are checked here; semantic rules
     (index ranges, dimension rule, ...) are the validator's job, so malformed
     systems can be loaded for diagnosis.  ``read_int`` checks each number
-    (each distinct conn count token once a call), ``NAME_RE`` the spelling of
+    (each distinct count or index token once a call), ``NAME_RE`` the spelling of
     each name, and parse the directives, argument counts, references,
     self-pairs and duplicates.  So each element is built from checked fields
     without ``CriticalElement.__post_init__``, which guards the public
@@ -241,7 +241,7 @@ def parse(text: str | bytes) -> FlowSystem:
     elements: list[CriticalElement] = []
     names: set[str] = set()
     counts: dict[tuple[str, str], int] = {}
-    values: dict[str, int] = {}  # conn count token -> its value; index tokens may be 0, so they keep out
+    values, indices = {}, {}  # conn count / rest and orbit index token -> its value, kept apart: 0 is an index, not a count
 
     for lineno, tokens, raw in directive_lines(text):
         directive = tokens[0]
@@ -286,8 +286,9 @@ def parse(text: str | bytes) -> FlowSystem:
             if len(tokens) != 3 + orbit or orbit and tokens[3] not in ("twisted", "untwisted"):
                 usage = "<name> <index> <twisted|untwisted>" if orbit else "<name> <index>"
                 raise ParseError(lineno, f"{directive} needs {usage}, got {_rest(raw)!r}")
-            name, index = tokens[1], read_int(lineno, tokens[2])
-            if not NAME_RE.match(name):
+            if (index := indices.get(token := tokens[2])) is None:
+                index = indices[token] = read_int(lineno, token)
+            if not NAME_RE.match(name := tokens[1]):
                 raise ParseError(lineno, f"invalid name {name!r}")
             elements.append(_element(name, directive, index, tokens[3] == "twisted" if orbit else None))
             if name in names:

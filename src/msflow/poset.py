@@ -69,9 +69,6 @@ class LabeledPoset:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def _at(self, name: str) -> int:
         """The index of node ``name``."""
         if name not in self._index:
@@ -511,18 +508,60 @@ class CensusReport:
     classes: tuple[CensusClass, ...]
 
 
-def _twins(s: FlowSystem) -> list[list[str]]:
-    """Each class of twins next to a closed orbit, in declaration order:
-    rest points of one index with one multiset of (direction, neighbour,
-    count).  Swapping two maps s onto itself; no twin is its own neighbour."""
-    orbits, hood, groups = {e.name for e in s.elements if e.is_orbit}, defaultdict(list), defaultdict(list)
+def _neighbourhoods(s: FlowSystem) -> defaultdict:
+    """Each element's (direction, neighbour, count) list, direction 1 out of it and 0 into it."""
+    hood = defaultdict(list)
     for (src, dst), c in s.connections._any_order():
         hood[src].append((1, dst, c))
         hood[dst].append((0, src, c))
+    return hood
+
+
+def _twins(s: FlowSystem, hood: Mapping) -> list[list[str]]:
+    """Each class of twins next to a closed orbit, in declaration order:
+    rest points of one index and one neighbourhood (see _neighbourhoods).
+    Swapping two maps s onto itself; no twin is its own neighbour."""
+    orbits, groups = {e.name for e in s.elements if e.is_orbit}, defaultdict(list)
     for e in s.elements:
         if e.is_rest and orbits.intersection(x for _, x, _ in hood[e.name]):
             groups[e.index, tuple(sorted(hood[e.name]))].append(e.name)
     return [g for g in groups.values() if len(g) > 1]
+
+
+def _automorphisms(s: FlowSystem, hood: Mapping, twins: Sequence[Sequence[str]], budget: int | None = None) -> list[dict]:
+    """The local automorphisms of s but the identity, as maps from the names
+    they move to their images: permutations of the orbits and their
+    neighbours (the support) that keep each element's kind, index and
+    twisted flag and every connection count, all else fixed, up to swaps of
+    twins (a class, see _twins, goes onto its image member by member).  A
+    backtracking places each orbit and then its neighbours, a twin class's
+    first member standing for it, onto images of equal signature in at
+    most ``budget`` placements (64 per connection at the support by
+    default) and keeps what it found; joined orbits all stay in place."""
+    orbits = [e.name for e in s.elements if e.is_orbit]
+    support, members = {*orbits, *(x for o in orbits for _, x, _ in hood[o])}, {g[0]: g for g in twins}
+    kind, followers = {e.name: (e.kind, e.index, e.twisted) for e in s.elements}, {x for g in twins for x in g[1:]}
+    # each orbit, then its neighbours, so a wrong image fails early; signatures name only neighbours outside the support
+    reps = [*dict.fromkeys(x for o in orbits for x in (o, *(y for _, y, _ in hood[o])) if x not in followers)]
+    sig = {x: (kind.get(x), len(members.get(x, ())), sorted((d, c, "" if y in support else y) for d, y, c in hood[x])) for x in reps}
+    linked = any(y in orbits for o in orbits for _, y, _ in hood[o])
+    options = [[x] if linked and x in orbits else [y for y in reps if sig[y] == sig[x]] for x in reps]
+    budget = 64 * sum(len(hood[x]) for x in support) if budget is None else budget
+    image, inverse, found, depth, next_option = {}, {}, [], 0, [0] * len(reps)
+    while 0 <= depth < len(reps) and budget > 0:
+        if (x := reps[depth]) in image:  # back from a deeper depth: take this depth's choice back
+            del inverse[image.pop(x)]
+        placed = sorted((d, image[w], c) for d, w, c in hood[x] if w in image)  # y fits x if its links to the images match
+        for i in range(next_option[depth], len(options[depth])):
+            if (y := options[depth][i]) not in inverse and placed == sorted((d, z, c) for d, z, c in hood[y] if z in inverse):
+                next_option[depth], image[x], inverse[y], budget, depth = i + 1, y, x, budget - 1, depth + 1
+                break
+        else:
+            next_option[depth], depth = 0, depth - 1
+        if depth == len(reps):  # a whole automorphism: keep what it moves, then look for the next
+            found.append({a: b for x, y in image.items() for a, b in zip(members.get(x, [x]), members.get(y, [y])) if a != b})
+            depth -= 1
+    return [moved for moved in found if moved]
 
 
 def census(s: FlowSystem) -> CensusReport:
@@ -538,14 +577,18 @@ def census(s: FlowSystem) -> CensusReport:
     with that orbit's choice.  A choice's neighbours are looked up once per
     call, as every branch gives a name the same index.  A leaf's twin key is
     its choices with each class of twins (see _twins) read as the sorted
-    multiset of its members' counts by depth and field.  A leaf whose key
-    was seen is an earlier leaf with twins swapped, an automorphism of s that
-    the walk commutes with, so it joins that leaf's class with no masks,
-    poset or search.  Any other leaf's face poset is read off its masks, and
-    each node's signature (see _signatures, on label masks built once per
-    call) is interned as an int local to the call.  It is searched only
-    against the classes whose key, the sorted ids, it shares, from a plan
-    built on each class's first poset at its first search."""
+    multiset of its members' counts by depth and field.  When its key, or
+    that of its image under a symmetry of s next to its orbits (see
+    _automorphisms; a choice's image is worked out once), was seen, an
+    automorphism of s that the walk commutes with carries an earlier leaf
+    onto it: it joins that leaf's class with no masks, poset or search.
+    Symmetries that move orbits are left out where two orbits are joined,
+    as there a later orbit's choices depend on earlier ones.  Any other
+    leaf's face poset is read off its masks, and each node's signature (see
+    _signatures, on label masks built once per call) is interned as an int
+    local to the call.  It is searched only against the classes whose key,
+    the sorted ids, it shares, from a plan built on each class's first
+    poset at its first search."""
     at, slots, labels = {}, {}, []  # each node's index and each orbit's p index, by name; the final labels
     for e in s.elements:
         (slots if e.is_orbit else at)[e.name] = len(labels)
@@ -559,8 +602,12 @@ def census(s: FlowSystem) -> CensusReport:
     classes: list[list] = []  # each class's members
     by_key: dict[tuple[int, ...], list[list]] = {}  # key -> [first poset, its ids, its plan, members] per class
     intern = defaultdict(itertools.count().__next__)  # a signature -> the next int, at its first lookup
-    rows: dict[int, tuple] = {}  # id(choice) -> (the choice, so its id stays unique; (index, below, above) of q, p; twin key parts)
-    order, twins, joined, key = [], _twins(s), {}, None  # joined: a twin key -> the class of its first leaf; None if no twins
+    rows: dict[int, tuple] = {}  # id(choice) -> (the choice, so its id stays unique; q's and p's rows; twin key parts, then per sigma)
+    sigmas = _automorphisms(s, hood := _neighbourhoods(s), twins := _twins(s, hood))
+    # back[k][j]: the depth whose choice sigmas[k] carries to depth j
+    back = [sorted(range(len(orbits)), key=lambda i: orbits.index(sigma.get(orbits[i], orbits[i]))) for sigma in sigmas]
+    twin_key = lambda ps: (*(p for _, p in ps), *(tuple(sorted(zip(*(map(u.__getitem__, g) for u, _ in ps)))) for g in twins))  # noqa: E731
+    order, joined, key = [], {}, None  # joined: a twin key -> its first leaf's class, None until known; key None if no symmetry
     for chosen, _ in _resolution_tree(s):
         if depth := len(chosen):
             d = chosen[-1]
@@ -573,12 +620,14 @@ def census(s: FlowSystem) -> CensusReport:
                 used = {x: tuple(dict(side).get(x, 0) for side in fields) for g in twins for x in g}  # a twin's count per field
                 plain = tuple(tuple(item for item in side if item[0] not in used) for side in fields)  # the rest of d
                 q_row, p_row = (p + 1, look(d.q_out), look(d.q_in)), (p, look(((d.q_name, 2),) + d.p_out), look(d.p_in))
-                rows[id(d)] = d, (q_row, p_row), plain, used
-        if twins and depth == len(orbits):
-            parts = [rows[id(d)] for d in chosen]
-            key = (*(r[2] for r in parts), *(tuple(sorted(tuple(r[3][x] for r in parts) for x in g)) for g in twins))
-            if key in joined:
-                joined[key].append(chosen)
+                part = lambda to: (  # noqa: E731  (used, plain) with each name x read as to(x, x)
+                    {to(x, x): v for x, v in used.items()}, tuple(tuple(sorted((to(x, x), c) for x, c in side)) for side in plain))
+                rows[id(d)] = d, (q_row, p_row), [(used, plain), *(part(sigma.get) for sigma in sigmas)]
+        if (twins or sigmas) and depth == len(orbits):
+            parts = [rows[id(d)][2] for d in chosen]
+            images = (joined.get(twin_key([parts[i][k] for i in depths])) for k, depths in enumerate(back, 1))  # only on a miss
+            if members := joined.get(key := twin_key([r[0] for r in parts])) or joined.setdefault(key, next(filter(None, images), None)):
+                members.append(chosen)
                 continue
         if depth:
             down, up = map(list, masks[depth - 1])

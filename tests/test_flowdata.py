@@ -177,12 +177,24 @@ def test_parse_error_reports_offending_line_number():
         # A refused count token is never remembered, so its first line names it.
         ("dim 2\nrest a 0\nrest b 1\nrest c 1\nconn b a +1\nconn c a +1\n", 5),
         ("dim 2\nrest a 1\nrest b 1\nconn a b 1\nconn b a +1\n", 5),
+        # So is a refused index token.
+        ("dim 2\nrest a 1\nrest b +1\norbit g +1 untwisted\n", 3),
     ],
 )
 def test_count_errors_name_the_first_line_that_spells_them(text, line):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.line == line
+
+
+def test_parse_reads_each_distinct_index_and_count_token_once(monkeypatch):
+    # "1" is read once as an index and once as a count: 0 is an index but
+    # not a count, so the two are remembered apart.
+    tokens, read_int = [], flowdata.read_int
+    monkeypatch.setattr(flowdata, "read_int", lambda lineno, token, minimum=0: tokens.append(token) or read_int(lineno, token, minimum))
+    lines = [f"rest r{i} {i % 3}" for i in range(30)] + ["orbit g 1 untwisted"] + [f"conn r{i} r{i + 1} {1 + i % 2}" for i in range(0, 28, 3)]
+    parse("dim 2\n" + "\n".join(lines) + "\n")
+    assert sorted(tokens) == ["0", "1", "1", "2", "2", "2"]
 
 
 def test_parsed_elements_cannot_be_told_from_constructed_ones():

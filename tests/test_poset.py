@@ -175,15 +175,7 @@ def test_downset_upset_and_len(two_cells):
     y, _ = two_cells
     assert y.downset("c") == {"a", "b", "c"}
     assert upset(y, "a") == {"a", "c", "d"}
-    assert len(y) == 4 and "a" in y and "z" not in y
-
-
-def test_contains_looks_the_name_up():
-    # Membership is by node name: a label, an index or a name's prefix is
-    # not a node.
-    p = chain(1200, "n")
-    assert "n0" in p and "n1199" in p
-    assert "n1200" not in p and "n" not in p and 0 not in p
+    assert len(y) == 4
 
 
 def test_renamed_requires_a_bijection(two_cells):
@@ -807,6 +799,10 @@ def reference_census(s):
 
 
 # Twins: rest points of one index fed and drained alike (see poset._twins).
+def twins(s):
+    return poset_module._twins(s, poset_module._neighbourhoods(s))
+
+
 TWIN_SINKS = """dim 2
 rest a 0
 rest b 0
@@ -842,6 +838,62 @@ orbit g 1 untwisted
 conn g a 2
 conn g b 2
 conn g c 1
+"""
+
+# Two twin pairs that the orbit swap (g h) exchanges, (a b)(a2 b2) with it.
+TWIN_PAIRS = """dim 2
+rest a 0
+rest a2 0
+rest b 0
+rest b2 0
+rest c 0
+orbit g 1 untwisted
+orbit h 1 untwisted
+conn g a 1
+conn g a2 1
+conn g c 1
+conn h b 1
+conn h b2 1
+conn h c 1
+"""
+# Swapping a and b keeps every count next to the orbit, but not x and y,
+# which stay in place: only p feeds x.
+FED_APART = """dim 2
+rest a 0
+rest b 0
+rest x 1
+rest y 1
+rest p 2
+orbit g 1 untwisted
+conn g a 1
+conn g b 1
+conn x a 1
+conn y b 1
+conn p x 1
+"""
+# g feeds the twins a and a2 and the sink c, which x feeds too; h feeds the
+# sink d and the twins e and e2, which x feeds too.  (g h)(a d)(c e) keeps
+# every connection between the twin classes' first members, but g feeds two
+# sinks that nothing else feeds and h one, so no symmetry moves g.
+UNEVEN_TWINS = """dim 2
+rest a 0
+rest a2 0
+rest c 0
+rest d 0
+rest e 0
+rest e2 0
+rest x 1
+orbit g 1 untwisted
+orbit h 1 untwisted
+conn g a 1
+conn g a2 1
+conn g c 1
+conn h d 1
+conn h e 1
+conn h e2 1
+conn x c 1
+conn x e 1
+conn x e2 1
 """
 
 
@@ -886,30 +938,30 @@ def test_census_matches_pairwise_grouping(s, rng):
 
 
 def test_twins_are_found_where_a_swap_keeps_every_connection(fig3):
-    assert poset_module._twins(fig3) == [["q1", "q2"]]
-    assert poset_module._twins(orbits_over_sinks(2, 6, 5)) == [["q1", "q2", "q3", "q4"]]
-    assert poset_module._twins(parse(TWIN_SOURCES)) == [["u", "v"]]
-    assert poset_module._twins(parse(TWIN_COUNT_2)) == [["a", "b"]]
+    assert twins(fig3) == [["q1", "q2"]]
+    assert twins(orbits_over_sinks(2, 6, 5)) == [["q1", "q2", "q3", "q4"]]
+    assert twins(parse(TWIN_SOURCES)) == [["u", "v"]]
+    assert twins(parse(TWIN_COUNT_2)) == [["a", "b"]]
 
 
 def test_near_twins_and_joined_rest_points_are_not_twins(fig3):
     # q2 fed twice by the orbit differs from q1 in one count, and so does
     # u feeding the attracting orbit twice from v.
     counts = dict(fig3.connections.items()) | {("gamma", "q2"): 2}
-    assert poset_module._twins(replace(fig3, connections=ConnectionMap(counts))) == []
+    assert twins(replace(fig3, connections=ConnectionMap(counts))) == []
     sources = parse(TWIN_SOURCES)
     counts = dict(sources.connections.items()) | {("u", "g"): 2}
-    assert poset_module._twins(replace(sources, connections=ConnectionMap(counts))) == []
+    assert twins(replace(sources, connections=ConnectionMap(counts))) == []
     # a and b are fed alike and joined both ways with one count, so swapping
     # them keeps every connection, but each is the other's neighbour.
     joined = parse("dim 2\nrest a 0\nrest b 0\norbit g 1 untwisted\nconn g a 1\nconn g b 1\nconn a b 1\nconn b a 1\n")
     assert reference_twins(joined) == [["a", "b"]]
-    assert poset_module._twins(joined) == []
+    assert twins(joined) == []
     # A sink and a saddle fed alike by the orbit differ in index; two sinks
     # that x drains into and out of differ in direction.
-    assert poset_module._twins(parse("dim 2\nrest a 0\nrest b 1\norbit g 1 untwisted\nconn g a 1\nconn g b 1\n")) == []
+    assert twins(parse("dim 2\nrest a 0\nrest b 1\norbit g 1 untwisted\nconn g a 1\nconn g b 1\n")) == []
     both_ways = "dim 2\nrest a 0\nrest b 0\nrest x 1\norbit g 1 untwisted\nconn g a 1\nconn g b 1\nconn a x 1\nconn x b 1\n"
-    assert poset_module._twins(parse(both_ways)) == []
+    assert twins(parse(both_ways)) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -917,15 +969,15 @@ def test_near_twins_and_joined_rest_points_are_not_twins(fig3):
 def test_twins_are_the_rest_points_that_swap_next_to_an_orbit(s):
     orbits = {e.name for e in s.orbits()}
     near = {x for pair in s.connections.pairs() if orbits.intersection(pair) for x in pair}
-    assert poset_module._twins(s) == [cls for cls in reference_twins(s) if near.intersection(cls)]
+    assert twins(s) == [cls for cls in reference_twins(s) if near.intersection(cls)]
 
 
-@pytest.mark.parametrize("text", [TWIN_SINKS, TWIN_SOURCES, TWIN_COUNT_2], ids=["sinks", "sources", "count-2"])
+@pytest.mark.parametrize("text", [TWIN_SINKS, TWIN_SOURCES, TWIN_COUNT_2, TWIN_PAIRS], ids=["sinks", "sources", "count-2", "twin-pairs"])
 def test_census_builds_no_poset_for_a_leaf_that_twins_carry_an_earlier_one_onto(text, monkeypatch):
     s, posets = parse(text), []
     monkeypatch.setattr(poset_module, "_signatures", lambda p, masks: posets.append(p) or _signatures(p, masks))
     report = census(s)
-    joined = twin_joined(s)
+    joined = automorphism_joined(s)
     assert joined and len(posets) == report.total - len(joined)
     assert [cls.members for cls in report.classes] == reference_census(s)
 
@@ -946,14 +998,15 @@ def test_census_matches_pairwise_grouping_where_keys_hold_several_classes(k, m, 
 def test_census_searches_only_equal_signature_multisets(k, m, d):
     # One key holds several classes here, so some searches inside a key
     # fail.  Every leaf that joins no class of its own is found by a search,
-    # unless a swap of twins carries an earlier leaf onto it: (3, 4, 2) has
-    # no twins, and in (2, 5, 3) swapping q1 and q2 does so for 16 of 36.
+    # unless a local automorphism carries an earlier leaf onto it: in
+    # (3, 4, 2) the reflection does so for 12 of 27, and in (2, 5, 3) the
+    # reflection and swapping q1 and q2 for 23 of 36.
     s = orbits_over_sinks(k, m, d)
     with searches_checked() as found:
         report = census(s)
     assert False in found
-    joined = {(3, 4, 2): 0, (2, 5, 3): 16}[k, m, d]
-    assert len(twin_joined(s)) == joined
+    joined = {(3, 4, 2): 12, (2, 5, 3): 23}[k, m, d]
+    assert len(automorphism_joined(s)) == joined
     assert found.count(True) == report.total - len(report.classes) - joined
 
 
@@ -979,26 +1032,60 @@ def reference_twins(s):
     return [[e.name for e in cls] for cls in classes if len(cls) > 1]
 
 
-def permuted(chosen, name):
-    """The choices with every name renamed by ``name`` where it has one."""
-    rename = lambda side: {name.get(x, x): c for x, c in side}  # noqa: E731
-    return tuple(replace(d, p_out=rename(d.p_out), q_out=rename(d.q_out), p_in=rename(d.p_in), q_in=rename(d.q_in)) for d in chosen)
+def reference_automorphisms(s):
+    """Every local automorphism of s, the identity too, as a name -> image
+    map of its support (the orbits and their neighbours), by backtracking
+    over the permutations of the support that keep each element's kind,
+    index and twisted flag: a partial map grows only while every connection
+    between mapped elements, or between a mapped element and one outside the
+    support, goes onto one of the same count.  Where a connection joins two
+    orbits, only the maps that fix every orbit."""
+    counts = dict(s.connections.items())
+    orbits = {e.name for e in s.orbits()}
+    support = [e for e in s.elements if any(e.name in pair and orbits.intersection(pair) for pair in counts) or e.name in orbits]
+    outside = {e.name: e.name for e in s.elements if e not in support}
+    linked = any(a in orbits and b in orbits for a, b in counts)
+    found = []
+
+    def extend(image):
+        if len(image) == len(support):
+            found.append(dict(image))
+            return
+        e = support[len(image)]
+        for f in support:
+            if (f.kind, f.index, f.twisted) != (e.kind, e.index, e.twisted) or f.name in image.values():
+                continue
+            if linked and e.name in orbits and f.name != e.name:
+                continue
+            image[e.name] = f.name
+            fixed = outside | image
+            if all(counts.get((e.name, z)) == counts.get((f.name, w)) and counts.get((z, e.name)) == counts.get((w, f.name)) for z, w in fixed.items()):
+                extend(image)
+            del image[e.name]
+
+    extend({})
+    return found
 
 
-def twin_joined(s):
+def automorphism_joined(s):
     """By brute force: each leaf, by its position in resolve_all_detailed's
-    order, onto whose choices a permutation within each twin class (see
-    reference_twins) carries an earlier leaf's, mapped to that earlier leaf's
-    position."""
+    order, onto whose choices a local automorphism (see
+    reference_automorphisms) carries an earlier leaf's, mapped to that
+    earlier leaf's position.  An automorphism that moves an orbit carries
+    its choice to the depth of the orbit's image, under that orbit's p and q
+    names, which every leaf shares."""
     leaves = [choices for _, choices in resolve_all_detailed(s)]
-    used = {x for chosen in leaves for d in chosen for side in (d.p_out, d.q_out, d.p_in, d.q_in) for x, _ in side}
-    classes = [cls for cls in reference_twins(s) if used.intersection(cls)]
-    flat = [x for cls in classes for x in cls]
-    renamings = [dict(zip(flat, sum(images, ()))) for images in itertools.product(*map(itertools.permutations, classes))]
+    orbits = [e.name for e in s.orbits()]
+    sigmas = reference_automorphisms(s)
     earlier, joined = {}, {}
     for i, chosen in enumerate(leaves):
-        for name in renamings:
-            if (j := earlier.get(permuted(chosen, name))) is not None:
+        for sigma in sigmas:
+            rename = lambda side: {sigma.get(x, x): c for x, c in side}  # noqa: E731
+            image = [None] * len(chosen)
+            for d in chosen:
+                j = orbits.index(sigma.get(d.orbit, d.orbit))
+                image[j] = replace(leaves[0][j], p_out=rename(d.p_out), q_out=rename(d.q_out), p_in=rename(d.p_in), q_in=rename(d.q_in))
+            if (j := earlier.get(tuple(image))) is not None:
                 joined[i] = j
                 break
         earlier[chosen] = i
@@ -1035,9 +1122,9 @@ def census_keyed_on_signatures(s):
     """census on code it does not share: each resolution's face poset,
     keyed on its sorted reference signature tuples, searched against the
     classes under its key from a plan built at the class's first search.
-    A leaf that twin_joined maps to an earlier one joins that leaf's class
+    A leaf that automorphism_joined maps to an earlier one joins that leaf's class
     unsearched."""
-    by_key, classes, class_of, joined = {}, [], [], twin_joined(s)  # class_of: each leaf's class
+    by_key, classes, class_of, joined = {}, [], [], automorphism_joined(s)  # class_of: each leaf's class
     for i, (system, choices) in enumerate(resolve_all_detailed(s)):
         if i in joined:
             class_of.append(class_of[joined[i]])
@@ -1059,22 +1146,31 @@ def census_keyed_on_signatures(s):
     return [tuple(members) for members in classes]
 
 
+def skewed(k, m, d):
+    """orbits_over_sinks(k, m, d) with g0 draining into q0 twice: no local
+    automorphism but the identity is left."""
+    s = orbits_over_sinks(k, m, d)
+    return replace(s, connections=ConnectionMap(dict(s.connections.items()) | {("g0", "q0"): 2}))
+
+
 def test_census_ids_partition_leaves_as_signatures():
     # Every leaf's poset is the face poset of its resolution, node for
     # node, so census and the reference make the same searches exactly when
     # the ids group leaves as the signatures do: a merged group adds a
     # search, a split one drops one.  Every id multiset a call hands over
     # belongs to one sorted signature multiset, and the other way round.
-    # Leaves that a swap of twins carries an earlier leaf onto are searched
-    # by neither: (2, 6, 5) joins 199 of its 225 leaves that way, and the
-    # random systems 2.  The twin-free (4, 6, 2) and (3, 5, 2) keep the
-    # searches above the floor.
+    # Leaves that a local automorphism carries an earlier leaf onto are
+    # searched by neither: (2, 6, 5) joins 208 of its 225 leaves that way,
+    # (3, 6, 3) 102 of 216, and the random systems 2.  Every family has a
+    # reflection, so the symmetry-free skewed (3, 6, 3) and (4, 6, 2) keep
+    # the searches above the floor.
     rng = random.Random(18)
-    systems = [orbits_over_sinks(k, m, d) for k, m, d in [(3, 4, 2), (2, 6, 5), (3, 6, 3), (4, 6, 2), (3, 5, 2)]]
+    shapes = [(3, 4, 2), (2, 6, 5), (3, 6, 3), (4, 6, 2), (3, 5, 2)]
+    systems = [orbits_over_sinks(*shape) for shape in shapes] + [skewed(3, 6, 3), skewed(4, 6, 2)]
     systems += [s for s in (random_valid_system(rng) for _ in range(200)) if s.dimension == 2 or not s.orbits()]
     searched = joined = 0
     for s in systems:
-        joined += len(twin_joined(s))
+        joined += len(automorphism_joined(s))
         with searches_recorded() as (events, keys):
             got = [cls.members for cls in census(s).classes]
         with searches_recorded() as (expected, _):
@@ -1083,25 +1179,108 @@ def test_census_ids_partition_leaves_as_signatures():
         assert len(dict(keys)) == len(set(keys)) == len({sig for _, sig in keys})
         searched += len(events)
     assert searched > 1000
-    assert joined == 201
+    assert joined == 372
 
 
 def census_shape(report):
     return report.total, len(report.classes), sorted(cls.size for cls in report.classes)
 
 
-@settings(max_examples=40, deadline=5000)
-@given(systems_with_orbits(), st.randoms(use_true_random=False))
-def test_census_does_not_depend_on_element_order_or_names(s, rng):
-    assume(len(resolve_all_detailed(s)) <= 60)
+def renamed_and_reordered(s, rng):
+    """s with fresh names r0, r1, ... given at random and its elements declared in a random order."""
     names = [e.name for e in s.elements]
     fresh = dict(zip(names, rng.sample([f"r{i}" for i in range(len(names))], len(names))))
-    renamed = replace(
+    return replace(
         s,
         elements=tuple(replace(e, name=fresh[e.name]) for e in rng.sample(list(s.elements), len(s.elements))),
         connections=ConnectionMap({(fresh[a], fresh[b]): c for (a, b), c in s.connections.items()}),
     )
-    assert census_shape(census(renamed)) == census_shape(census(s))
+
+
+@settings(max_examples=40, deadline=5000)
+@given(systems_with_orbits(), st.randoms(use_true_random=False))
+def test_census_does_not_depend_on_element_order_or_names(s, rng):
+    assume(len(resolve_all_detailed(s)) <= 60)
+    assert census_shape(census(renamed_and_reordered(s, rng))) == census_shape(census(s))
+
+
+@st.composite
+def doubled_feeding_systems(draw):
+    """Two disjoint copies of a systems_with_orbits(feeding=True) system, in
+    which a repelling orbit drains into an attracting one: swapping the
+    copies is a symmetry that moves orbits, which census leaves unused."""
+    s = draw(systems_with_orbits(feeding=True))
+    assume(len(resolve_all_detailed(s)) <= 6)
+    copy = {e.name: e.name + "c" for e in s.elements}
+    counts = dict(s.connections.items()) | {(copy[a], copy[b]): c for (a, b), c in s.connections.items()}
+    return replace(s, elements=s.elements + tuple(replace(e, name=copy[e.name]) for e in s.elements), connections=ConnectionMap(counts))
+
+
+SYMMETRIC_SHAPES = [(2, 4, 2), (3, 4, 2), (2, 5, 3), (3, 5, 2), (2, 3, 3), (3, 3, 2), (4, 4, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SYMMETRIC_SHAPES).map(lambda shape: orbits_over_sinks(*shape)) | doubled_feeding_systems(), st.randoms(use_true_random=False))
+@example(parse(TWIN_PAIRS), random.Random(0))
+@example(parse(FED_APART), random.Random(0))
+def test_census_matches_pairwise_grouping_under_symmetries_of_the_input(s, rng):
+    # Every family has a reflection that moves its orbits, (3, 3, 2) and
+    # (4, 4, 2) rotations too; the doubled systems join orbits.  Fresh names
+    # and a shuffled declaration order change the depths and the name order.
+    for system in (s, renamed_and_reordered(s, rng)):
+        assert [cls.members for cls in census(system).classes] == reference_census(system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems_with_twins() | doubled_feeding_systems() | st.sampled_from(SYMMETRIC_SHAPES).map(lambda shape: orbits_over_sinks(*shape)))
+@example(load_fixture("fig3.msf"))
+@example(load_fixture("fig4.msf"))
+@example(parse(TWIN_SINKS))
+@example(parse(TWIN_PAIRS))
+@example(parse(FED_APART))
+@example(parse(UNEVEN_TWINS))
+@example(parse("dim 2\nrest a 0\nrest b 0\norbit g 1 untwisted\norbit h 1 twisted\nconn g a 1\nconn h b 1\n"))
+@example(parse("dim 2\nrest a 0\nrest b 1\norbit g 1 untwisted\norbit h 1 untwisted\nconn g a 1\nconn h b 1\n"))
+def test_automorphisms_are_the_local_symmetries_up_to_twin_swaps(s):
+    # The finder's automorphisms are the reference's that take each twin
+    # class onto its image member by member, the identity left out.  Orbits
+    # that differ only in their twisted flag, or rest points only in index,
+    # are never swapped.
+    hood = poset_module._neighbourhoods(s)
+    classes = poset_module._twins(s, hood)
+    found = poset_module._automorphisms(s, hood, classes)
+    expected = [
+        {a: b for a, b in sigma.items() if a != b}
+        for sigma in reference_automorphisms(s)
+        if all([sigma[x] for x in cls] in classes for cls in classes)
+    ]
+    assert sorted(map(sorted, map(dict.items, found))) == sorted(map(sorted, map(dict.items, filter(None, expected))))
+
+
+def test_census_searches_fig4_only_where_no_symmetry_joins(fig4):
+    # (q1 q2)(s1 s2) maps fig4 onto itself and fixes its orbit; fig4 has no
+    # twins.  It carries onto earlier leaves the three that the twin keys
+    # alone left to a search each, and no search is left.
+    assert automorphism_joined(fig4) == {2: 1, 7: 4, 8: 6}
+    with searches_recorded() as (events, _):
+        got = [cls.members for cls in census(fig4).classes]
+    with searches_recorded() as (expected, _):
+        assert got == census_keyed_on_signatures(fig4)
+    assert events == expected
+    assert events == []
+
+
+def test_census_reports_the_same_when_the_automorphism_budget_runs_out(monkeypatch, fig4):
+    # One placement finds no automorphism, so census falls back to the twin
+    # keys and its searches.
+    finder = poset_module._automorphisms
+    systems = [fig4, orbits_over_sinks(3, 4, 2), orbits_over_sinks(2, 5, 3), parse(TWIN_SINKS)]
+    reports = [census(s) for s in systems]
+    for s in systems:
+        hood = poset_module._neighbourhoods(s)
+        assert finder(s, hood, poset_module._twins(s, hood)) and finder(s, hood, poset_module._twins(s, hood), budget=1) == []
+    monkeypatch.setattr(poset_module, "_automorphisms", lambda s, hood, twins: finder(s, hood, twins, budget=1))
+    assert [census(s) for s in systems] == reports
 
 
 def test_census_keeps_nothing_between_calls(fig3, fig4):
