@@ -569,26 +569,29 @@ def census(s: FlowSystem) -> CensusReport:
     gradient-like systems by face-poset isomorphism.  Classes are reported in
     order of first appearance; a gradient input yields a single class.
 
-    census walks _resolution_tree, which refuses an invalid input, and
-    builds no leaf system.  Every resolution has the same nodes in the same
-    order, an orbit's p and q in its slot, so the orbit-free part is closed
-    once and each step down adds q and then p to a copy of the parent's
-    masks, leaving out edges to orbits not yet resolved: they come back
-    with that orbit's choice.  A choice's neighbours are looked up once per
-    call, as every branch gives a name the same index.  A leaf's twin key is
-    its choices with each class of twins (see _twins) read as the sorted
-    multiset of its members' counts by depth and field.  When its key, or
-    that of its image under a symmetry of s next to its orbits (see
-    _automorphisms; a choice's image is worked out once), was seen, an
-    automorphism of s that the walk commutes with carries an earlier leaf
-    onto it: it joins that leaf's class with no masks, poset or search.
-    Symmetries that move orbits are left out where two orbits are joined,
-    as there a later orbit's choices depend on earlier ones.  Any other
-    leaf's face poset is read off its masks, and each node's signature (see
-    _signatures, on label masks built once per call) is interned as an int
-    local to the call.  It is searched only against the classes whose key,
-    the sorted ids, it shares, from a plan built on each class's first
-    poset at its first search."""
+    census builds no leaf system; every resolution has the same nodes in
+    the same order, an orbit's p and q in its slot.  Pass 1 walks
+    _resolution_tree, which refuses an invalid input, and gives each
+    distinct choice an id interned from its orbit and sides, its q and p
+    rows (edges to orbits not yet resolved left out: they come back with
+    that orbit's choice), and its image's id under each generator: each
+    symmetry of s next to its orbits (see _automorphisms) and each swap of
+    two twins adjacent in their class (see _twins).  These generate every
+    local symmetry, and the walk commutes with each, so a generator carries
+    a leaf onto the leaf whose ids are its ids mapped, depths moved with
+    the orbits (orbits stay put where two are joined, see _automorphisms).
+    Those images are looked up in bulk off the leaves' id columns, and one
+    breadth-first search labels each leaf with the first leaf of its orbit.
+
+    Pass 2 takes the leaves in order.  A leaf that is not the first of its
+    orbit joins that leaf's class with no masks, poset or search.  Any
+    other leaf grows the previous such leaf's masks (the orbit-free part is
+    closed once) from the first depth where their ids differ, adding q and
+    then p at each depth, and reads its face poset off them.  Each node's
+    signature (see _signatures, on label masks built once per call) is
+    interned as an int local to the call, and the poset is searched only
+    against the classes whose key, the sorted ids, it shares, from a plan
+    built on each class's first poset at its first search."""
     at, slots, labels = {}, {}, []  # each node's index and each orbit's p index, by name; the final labels
     for e in s.elements:
         (slots if e.is_orbit else at)[e.name] = len(labels)
@@ -598,63 +601,76 @@ def census(s: FlowSystem) -> CensusReport:
     for src, dst in s.connections.pairs():
         if src in at and dst in at:
             children[at[src]].append(at[dst])
-    masks = [closure_masks(children)]  # (down, up) at each depth of the current branch
-    classes: list[list] = []  # each class's members
-    by_key: dict[tuple[int, ...], list[list]] = {}  # key -> [first poset, its ids, its plan, members] per class
-    intern = defaultdict(itertools.count().__next__)  # a signature -> the next int, at its first lookup
-    rows: dict[int, tuple] = {}  # id(choice) -> (the choice, so its id stays unique; q's and p's rows; twin key parts, then per sigma)
-    sigmas = _automorphisms(s, hood := _neighbourhoods(s), twins := _twins(s, hood))
-    # back[k][j]: the depth whose choice sigmas[k] carries to depth j
-    back = [sorted(range(len(orbits)), key=lambda i: orbits.index(sigma.get(orbits[i], orbits[i]))) for sigma in sigmas]
-    twin_key = lambda ps: (*(p for _, p in ps), *(tuple(sorted(zip(*(map(u.__getitem__, g) for u, _ in ps)))) for g in twins))  # noqa: E731
-    order, joined, key = [], {}, None  # joined: a twin key -> its first leaf's class, None until known; key None if no symmetry
+    twins = _twins(s, hood := _neighbourhoods(s))
+    moves = _automorphisms(s, hood, twins) + [{a: b, b: a} for g in twins for a, b in zip(g, g[1:])]
+    content = defaultdict(itertools.count().__next__)  # a choice's (orbit, sides) -> its id, at its first lookup
+    known, rows, images = {}, {}, [{} for _ in moves]  # id(choice) -> its id; per id, q's and p's rows, and its image's id per move
+    leaves, keys, path = [], [], [0] * len(orbits)  # each leaf's choices and its ids by depth
     for chosen, _ in _resolution_tree(s):
         if depth := len(chosen):
-            d = chosen[-1]
-            if id(d) not in rows:
+            if (c := known.get(id(d := chosen[-1]))) is None:
                 p = at[d.p_name] = slots[d.orbit]
                 at[d.q_name] = p + 1
                 later = orbits[depth:]  # edges to these come back with their choices
                 look = lambda side: [at[x] for x, _ in side if x not in later]  # noqa: E731
-                fields = (d.p_out, d.q_out, d.p_in, d.q_in)
-                used = {x: tuple(dict(side).get(x, 0) for side in fields) for g in twins for x in g}  # a twin's count per field
-                plain = tuple(tuple(item for item in side if item[0] not in used) for side in fields)  # the rest of d
-                q_row, p_row = (p + 1, look(d.q_out), look(d.q_in)), (p, look(((d.q_name, 2),) + d.p_out), look(d.p_in))
-                part = lambda to: (  # noqa: E731  (used, plain) with each name x read as to(x, x)
-                    {to(x, x): v for x, v in used.items()}, tuple(tuple(sorted((to(x, x), c) for x, c in side)) for side in plain))
-                rows[id(d)] = d, (q_row, p_row), [(used, plain), *(part(sigma.get) for sigma in sigmas)]
-        if (twins or sigmas) and depth == len(orbits):
-            parts = [rows[id(d)][2] for d in chosen]
-            images = (joined.get(twin_key([parts[i][k] for i in depths])) for k, depths in enumerate(back, 1))  # only on a miss
-            if members := joined.get(key := twin_key([r[0] for r in parts])) or joined.setdefault(key, next(filter(None, images), None)):
-                members.append(chosen)
-                continue
-        if depth:
-            down, up = map(list, masks[depth - 1])
-            for v, below, above in rows[id(d)][1]:
+                sides = (d.p_out, d.q_out, d.p_in, d.q_in)
+                c = known[id(d)] = content[(d.orbit, *sides)]
+                rows[c] = (p + 1, look(d.q_out), look(d.q_in)), (p, look(((d.q_name, 2),) + d.p_out), look(d.p_in))
+                for to, image in zip(moves, images):
+                    image[c] = content[(to.get(d.orbit, d.orbit), *(tuple(sorted((to.get(x, x), n) for x, n in side)) for side in sides))]
+            path[depth - 1] = c
+        if depth == len(orbits):
+            leaves.append(chosen)
+            keys.append(tuple(path))
+    index, arrows = dict(zip(keys, itertools.count())), []  # arrows[k][i]: the leaf moves[k] carries leaf i onto
+    for to, image in zip(moves, images):
+        cols = [()] * len(orbits)
+        for o, col in zip(orbits, zip(*keys)):
+            cols[orbits.index(to.get(o, o))] = map(image.__getitem__, col)
+        arrows.append(list(map(index.get, zip(*cols))))
+    first = [None] * len(leaves)  # each leaf's first leaf of its orbit
+    for i in range(len(leaves)):
+        if first[i] is None:
+            first[i], queue = i, [i]
+            for x in queue:
+                for arrow in arrows:
+                    if (y := arrow[x]) is not None and first[y] is None:
+                        first[y] = i
+                        queue.append(y)
+    nodes, labels = tuple(sorted(at, key=at.get)), tuple(labels)
+    order, by_label = sorted(range(len(nodes)), key=nodes.__getitem__), _label_masks(labels)[1]
+    masks, done = [closure_masks(children)], ()  # (down, up) at each depth of the last searched leaf, and its ids
+    classes: list[list] = []  # each class's members
+    class_of: dict[int, list] = {}  # a first leaf -> its class's members
+    by_key: dict[tuple[int, ...], list[list]] = {}  # key -> [first poset, its ids, its plan, members] per class
+    intern = defaultdict(itertools.count().__next__)  # a signature -> the next int, at its first lookup
+    for i, (chosen, key) in enumerate(zip(leaves, keys)):
+        if first[i] != i:
+            class_of[first[i]].append(chosen)
+            continue
+        common = next((j for j, (a, b) in enumerate(zip(key, done)) if a != b), len(done))
+        del masks[common + 1:]
+        for c in key[common:]:
+            down, up = map(list, masks[-1])
+            for v, below, above in rows[c]:
                 dv = reduce(or_, map(down.__getitem__, below), 1 << v)
                 uv = reduce(or_, map(up.__getitem__, above), 1 << v)
                 for x in bits(uv):
                     down[x] |= dv
                 for y in bits(dv):
                     up[y] |= uv
-            masks[depth:] = [(down, up)]
-        if depth < len(orbits):
-            continue
-        if not order:
-            nodes, labels = tuple(sorted(at, key=at.get)), tuple(labels)
-            order, by_label = sorted(range(len(nodes)), key=nodes.__getitem__), _label_masks(labels)[1]
-        poset = LabeledPoset.__new__(LabeledPoset)._adopt(nodes, labels, at, *masks[-1])
+            masks.append((down, up))
+        poset, done = LabeledPoset.__new__(LabeledPoset)._adopt(nodes, labels, at, *masks[-1]), key
         ids = list(map(intern.__getitem__, _signatures(poset, by_label)))
         bucket = by_key.setdefault(tuple(sorted(ids)), [])
         for cls in bucket:
-            first, first_ids, plan, members = cls
-            cls[2] = plan = plan or _search_plan(first, first_ids)
-            if _search_isomorphism(first, poset, plan, ids, order) is not None:
+            first_poset, first_ids, plan, members = cls
+            cls[2] = plan = plan or _search_plan(first_poset, first_ids)
+            if _search_isomorphism(first_poset, poset, plan, ids, order) is not None:
                 members.append(chosen)
                 break
         else:
             bucket.append([poset, ids, (), members := [chosen]])
             classes.append(members)
-        joined[key] = members
+        class_of[i] = members
     return CensusReport(total=sum(map(len, classes)), classes=tuple(CensusClass(tuple(members)) for members in classes))

@@ -1067,16 +1067,16 @@ def reference_automorphisms(s):
     return found
 
 
-def automorphism_joined(s):
+def automorphism_joined(s, sigmas=None):
     """By brute force: each leaf, by its position in resolve_all_detailed's
     order, onto whose choices a local automorphism (see
-    reference_automorphisms) carries an earlier leaf's, mapped to that
-    earlier leaf's position.  An automorphism that moves an orbit carries
-    its choice to the depth of the orbit's image, under that orbit's p and q
-    names, which every leaf shares."""
+    reference_automorphisms, or one of ``sigmas`` when given) carries an
+    earlier leaf's, mapped to that earlier leaf's position.  An automorphism
+    that moves an orbit carries its choice to the depth of the orbit's
+    image, under that orbit's p and q names, which every leaf shares."""
     leaves = [choices for _, choices in resolve_all_detailed(s)]
     orbits = [e.name for e in s.orbits()]
-    sigmas = reference_automorphisms(s)
+    sigmas = reference_automorphisms(s) if sigmas is None else sigmas
     earlier, joined = {}, {}
     for i, chosen in enumerate(leaves):
         for sigma in sigmas:
@@ -1259,8 +1259,8 @@ def test_automorphisms_are_the_local_symmetries_up_to_twin_swaps(s):
 
 def test_census_searches_fig4_only_where_no_symmetry_joins(fig4):
     # (q1 q2)(s1 s2) maps fig4 onto itself and fixes its orbit; fig4 has no
-    # twins.  It carries onto earlier leaves the three that the twin keys
-    # alone left to a search each, and no search is left.
+    # twins.  It carries onto earlier leaves the three that twin swaps
+    # alone would leave to a search each, and no search is left.
     assert automorphism_joined(fig4) == {2: 1, 7: 4, 8: 6}
     with searches_recorded() as (events, _):
         got = [cls.members for cls in census(fig4).classes]
@@ -1272,7 +1272,7 @@ def test_census_searches_fig4_only_where_no_symmetry_joins(fig4):
 
 def test_census_reports_the_same_when_the_automorphism_budget_runs_out(monkeypatch, fig4):
     # One placement finds no automorphism, so census falls back to the twin
-    # keys and its searches.
+    # swaps and its searches.
     finder = poset_module._automorphisms
     systems = [fig4, orbits_over_sinks(3, 4, 2), orbits_over_sinks(2, 5, 3), parse(TWIN_SINKS)]
     reports = [census(s) for s in systems]
@@ -1281,6 +1281,58 @@ def test_census_reports_the_same_when_the_automorphism_budget_runs_out(monkeypat
         assert finder(s, hood, poset_module._twins(s, hood)) and finder(s, hood, poset_module._twins(s, hood), budget=1) == []
     monkeypatch.setattr(poset_module, "_automorphisms", lambda s, hood, twins: finder(s, hood, twins, budget=1))
     assert [census(s) for s in systems] == reports
+
+
+@contextmanager
+def posets_counted():
+    """Each poset census reads signatures off, one per leaf it does not join."""
+    posets = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poset_module, "_signatures", lambda p, masks: posets.append(p) or _signatures(p, masks))
+        yield posets
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    (systems_with_twins() | doubled_feeding_systems() | st.sampled_from(SYMMETRIC_SHAPES).map(lambda shape: orbits_over_sinks(*shape)))
+    .filter(lambda s: len(resolve_all_detailed(s)) <= 60)
+)
+@example(load_fixture("fig3.msf"))
+@example(load_fixture("fig4.msf"))
+@example(orbits_over_sinks(2, 6, 5))
+def test_census_builds_a_poset_only_for_the_first_leaf_of_each_orbit(s):
+    # A leaf joins an earlier leaf's class unbuilt exactly when some local
+    # symmetry carries an earlier leaf onto it.  The size bound holds for
+    # drawn systems only, so the 225 leaves of (2, 6, 5) run too: there the
+    # twin class q1..q4 carries some leaves onto earlier ones only through
+    # products of several transpositions.
+    with posets_counted() as posets:
+        report = census(s)
+    assert len(posets) == report.total - len(automorphism_joined(s))
+
+
+def test_census_keeps_its_report_with_no_choice_or_only_twin_swaps(monkeypatch):
+    # A gradient input has one leaf, which takes no choice: no id columns,
+    # no generator and one poset.
+    for text in ("dim 2\nrest a 0\n", "dim 2\nrest a 0\nrest b 0\nrest x 1\nconn x a 1\nconn x b 1\n"):
+        with posets_counted() as posets:
+            report = census(parse(text))
+        assert report == poset_module.CensusReport(total=1, classes=(poset_module.CensusClass(((),)),))
+        assert len(posets) == 1
+    # With one placement the finder returns nothing, so only the twin swaps
+    # join leaves: in TWIN_SINKS the permutations of a, b and c, not the
+    # orbit swap (g h).
+    finder = poset_module._automorphisms
+    monkeypatch.setattr(poset_module, "_automorphisms", lambda s, hood, twins: finder(s, hood, twins, budget=1))
+    for text in (TWIN_SINKS, TWIN_COUNT_2):
+        s = parse(text)
+        inside = {x: cls for cls in reference_twins(s) for x in cls}
+        swaps = [sigma for sigma in reference_automorphisms(s) if all(y in inside.get(x, [x]) for x, y in sigma.items())]
+        with posets_counted() as posets:
+            report = census(s)
+        assert [cls.members for cls in report.classes] == reference_census(s)
+        assert len(posets) == report.total - len(automorphism_joined(s, swaps))
+        assert (len(automorphism_joined(s, swaps)) < len(automorphism_joined(s))) == (text == TWIN_SINKS)
 
 
 def test_census_keeps_nothing_between_calls(fig3, fig4):
