@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -354,19 +355,26 @@ def _cell_str(cell: DiffCell) -> str:
 
 def resolve_all_detailed(s: FlowSystem) -> list[tuple[FlowSystem, tuple[ChoiceDescriptor, ...]]]:
     """Every gradient-like resolution of s together with the choices taken:
-    the deepest nodes of _resolution_tree in its order, the Cartesian product
-    of the per-orbit choice lists, each built from its parent (s itself when
-    s has no orbit)."""
+    the deepest nodes of _resolution_tree in its order (s itself when s has
+    no orbit).  A later orbit's choices depend on the choice of an earlier
+    orbit joined to it, so this is a product of per-orbit choice lists only
+    when no two orbits are joined.  Each node's system is built once, from
+    its parent's, kept on a path of one system per depth."""
     orbits = sum(e.is_orbit for e in s.elements)
-    tree = _resolution_tree(s)
-    return [(_replace_orbit(parent, chosen[-1]) if chosen else s, chosen) for chosen, parent in tree if len(chosen) == orbits]
+    path, leaves = [s], []
+    for chosen in _resolution_tree(s):
+        if chosen:
+            del path[len(chosen):]
+            path.append(_replace_orbit(path[-1], chosen[-1]))
+        if len(chosen) == orbits:
+            leaves.append((path[-1], chosen))
+    return leaves
 
 
-def _resolution_tree(s: FlowSystem) -> Iterator[tuple[tuple[ChoiceDescriptor, ...], FlowSystem]]:
-    """Each node of the tree of choices, depth-first and before its children,
-    as (choices taken, the partial resolution the last of them applies to,
-    or s at the root); orbits are resolved in declaration order.  A node's
-    own partial resolution is built only to enumerate its next orbit.
+def _resolution_tree(s: FlowSystem) -> Iterator[tuple[ChoiceDescriptor, ...]]:
+    """The choices taken at each node of the tree of choices, depth-first
+    and before its children, from () at the root; orbits are resolved in
+    declaration order.
 
     An invalid s is refused with its violations.  Each choice is applied
     unchecked: an enumerated choice for a valid system is admissible and its
@@ -376,8 +384,11 @@ def _resolution_tree(s: FlowSystem) -> Iterator[tuple[tuple[ChoiceDescriptor, ..
     orbit).  Partial resolutions after equally many steps have the same
     elements in the same order, a step putting a pair named from the names
     already there in the orbit's slot, so an orbit's choices depend only on
-    its (outgoing, incoming) counts and are enumerated once per distinct
-    pair of them."""
+    its (outgoing, incoming) counts.  Those are s's, except that an edge to
+    an earlier orbit goes to its p and q with the counts in that orbit's
+    choice.  So the choices are keyed on those counts, read off the choices
+    of the earlier orbits joined to it, and enumerated once per distinct
+    key; only then is the partial resolution built, to enumerate them on."""
     orbit_names = [e.name for e in s.elements if e.is_orbit]
     if orbit_names and s.dimension != 2:
         raise ValueError(
@@ -387,18 +398,19 @@ def _resolution_tree(s: FlowSystem) -> Iterator[tuple[tuple[ChoiceDescriptor, ..
     if violations := validate(s):
         raise InvalidSystemError(violations)
 
-    choices: dict[tuple, list[ChoiceDescriptor]] = {}  # (orbit, outgoing, incoming) -> the orbit's choices
-    stack: list[tuple[tuple[ChoiceDescriptor, ...], FlowSystem]] = [((), s)]
+    cm = s.connections
+    joined = [[j for j, o in enumerate(orbit_names[:i]) if cm.count(x, o) or cm.count(o, x)] for i, x in enumerate(orbit_names)]
+    choices: dict[tuple, list[ChoiceDescriptor]] = {}  # (orbit, its counts in each joined earlier choice) -> its choices
+    stack: list[tuple[ChoiceDescriptor, ...]] = [()]
     while stack:
-        chosen, parent = stack.pop()
-        yield chosen, parent
+        yield (chosen := stack.pop())
         if (depth := len(chosen)) < len(orbit_names):
-            current = _replace_orbit(parent, chosen[-1]) if chosen else s
             orbit = orbit_names[depth]
-            key = (orbit, tuple(current.connections.outgoing(orbit).items()), tuple(current.connections.incoming(orbit).items()))
+            earlier = map(chosen.__getitem__, joined[depth])
+            key = (orbit, *(dict(side).get(orbit) for d in earlier for side in (d.p_out, d.q_out, d.p_in, d.q_in)))
             if key not in choices:
-                choices[key] = enumerate_choices_2d(current, orbit)
-            stack += [(chosen + (d,), current) for d in reversed(choices[key])]
+                choices[key] = enumerate_choices_2d(reduce(_replace_orbit, chosen, s), orbit)
+            stack += [chosen + (d,) for d in reversed(choices[key])]
 
 
 # ---------------------------------------------------------------------------

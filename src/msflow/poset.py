@@ -569,12 +569,14 @@ def census(s: FlowSystem) -> CensusReport:
     gradient-like systems by face-poset isomorphism.  Classes are reported in
     order of first appearance; a gradient input yields a single class.
 
-    census builds no leaf system; every resolution has the same nodes in
-    the same order, an orbit's p and q in its slot.  Pass 1 walks
-    _resolution_tree, which refuses an invalid input, and gives each
-    distinct choice an id interned from its orbit and sides, its q and p
-    rows (edges to orbits not yet resolved left out: they come back with
-    that orbit's choice), and its image's id under each generator: each
+    census builds no leaf system (the walk builds a partial one only to
+    enumerate an orbit's choices it has not met); every resolution has the
+    same nodes in the same order, an orbit's p and q in its slot.  Pass 1
+    reads each node's choices off _resolution_tree, which refuses an invalid
+    input, and keeps each leaf's ids by depth.  A choice gets its id at the
+    first node that takes it, interned from its orbit and sides, with its q
+    and p rows (edges to orbits not yet resolved left out: they come back
+    with that orbit's choice) and its image's id under each generator: each
     symmetry of s next to its orbits (see _automorphisms) and each swap of
     two twins adjacent in their class (see _twins).  These generate every
     local symmetry, and the walk commutes with each, so a generator carries
@@ -606,7 +608,7 @@ def census(s: FlowSystem) -> CensusReport:
     content = defaultdict(itertools.count().__next__)  # a choice's (orbit, sides) -> its id, at its first lookup
     known, rows, images = {}, {}, [{} for _ in moves]  # id(choice) -> its id; per id, q's and p's rows, and its image's id per move
     leaves, keys, path = [], [], [0] * len(orbits)  # each leaf's choices and its ids by depth
-    for chosen, _ in _resolution_tree(s):
+    for chosen in _resolution_tree(s):
         if depth := len(chosen):
             if (c := known.get(id(d := chosen[-1]))) is None:
                 p = at[d.p_name] = slots[d.orbit]

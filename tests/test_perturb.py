@@ -29,7 +29,7 @@ from msflow import (
 )
 from msflow import ParseError
 from msflow import perturb as perturb_module
-from msflow.perturb import _replace_orbit, validate_choice
+from msflow.perturb import _replace_orbit, _resolution_tree, validate_choice
 
 from conftest import (
     load_fixture,
@@ -41,6 +41,7 @@ from conftest import (
     systems_with_orbits,
     unstable_dim,
 )
+from test_poset import reference_census
 
 
 def fig3_choices(fig3):
@@ -483,6 +484,52 @@ def test_family_enumerates_each_orbit_once(monkeypatch):
     assert len(got) == 216 and got == reference_resolutions(s)
 
 
+def reference_tree(s) -> list:
+    """Each node's choices, depth-first and before its children, with the
+    next orbit's choices enumerated afresh on the node's own partial
+    resolution."""
+    orbits = [e.name for e in s.elements if e.is_orbit]
+
+    def walk(current, chosen):
+        yield chosen
+        if len(chosen) < len(orbits):
+            for d in enumerate_choices_2d(current, orbits[len(chosen)]):
+                yield from walk(_replace_orbit(current, d), chosen + (d,))
+
+    return list(walk(s, ()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_with_orbits(feeding=True))
+def test_the_tree_yields_every_node_as_a_per_partial_walk_does(s):
+    # Internal nodes included: census reads each depth's choice off them.
+    assume(len(reference_resolutions(s)) <= 200)
+    assert list(_resolution_tree(s)) == reference_tree(s)
+
+
+FED_ATTRACTOR_FIRST = (
+    "dim 2\nrest r 2\norbit a 0 untwisted\norbit g 1 untwisted\nrest q0 0\n"
+    "conn g a 2\nconn g q0 1\nconn r a 1\n"
+)
+
+
+def test_an_orbit_feeding_an_earlier_one_is_keyed_on_its_rerouted_outflow(monkeypatch):
+    # The attracting orbit a is declared, so resolved, before the repelling
+    # orbit g that feeds it: g's downstream edge to a goes to a's q and p,
+    # and a's three choices feed p_a from g none, once or twice, so g has
+    # one neighbourhood per choice of a.
+    s = parse(FED_ATTRACTOR_FIRST)
+    calls = counting_enumeration(monkeypatch)
+    got = resolve_all_detailed(s)
+    assert calls == ["a", "g", "g", "g"]
+    assert len(calls) == distinct_neighbourhoods(s)
+    assert len(got) == 9 and got == reference_resolutions(s)
+    assert list(_resolution_tree(s)) == reference_tree(s)
+    report = census(s)
+    assert len(report.classes) == 9
+    assert [cls.members for cls in report.classes] == reference_census(s)
+
+
 def counting_builds(monkeypatch) -> list:
     """Patch _replace_orbit where the tree walk and resolve_all_detailed call
     it; the returned list gets the orbit of each call."""
@@ -492,24 +539,26 @@ def counting_builds(monkeypatch) -> list:
 
 
 def test_resolve_all_detailed_builds_each_system_once(monkeypatch):
-    # Each partial resolution that enumerates the next orbit is built once,
-    # 6 + 36, and each of the 216 resolutions once from its parent.
+    # Each node below the root is built once from its parent, 6 + 36 + 216 =
+    # 258.  The tree builds a partial resolution of its own only to enumerate
+    # a new neighbourhood, folding the choices taken into s: 0 + 1 + 2 = 3
+    # builds for g0, g1 and g2.
     built = counting_builds(monkeypatch)
     assert len(resolve_all_detailed(orbits_over_sinks(3, 6, 3))) == 216
-    assert len(built) == 6 + 36 + 216 == 258
+    assert len(built) == (6 + 36 + 216) + (0 + 1 + 2) == 261
     assert built.count("g2") == 216
 
 
 def test_census_builds_no_leaf_system(monkeypatch):
     # census walks the same tree as resolve_all_detailed, sharing each
-    # orbit's choices, but builds a partial resolution only where the next
-    # orbit's choices are enumerated: 6 + 36 = 42 before the last orbit,
-    # none of the 216 leaves.
+    # orbit's choices, and builds a partial resolution only where a new
+    # neighbourhood's choices are enumerated, folding the choices taken into
+    # s: 0 + 1 + 2 = 3 for g0, g1 and g2, none of the 216 leaves.
     calls = counting_enumeration(monkeypatch)
     built = counting_builds(monkeypatch)
     assert census(orbits_over_sinks(3, 6, 3)).total == 216
     assert calls == ["g0", "g1", "g2"]
-    assert len(built) <= 42
+    assert len(built) == 0 + 1 + 2
 
 
 def test_a_gradient_input_is_its_own_resolution(monkeypatch, fig3):
