@@ -15,7 +15,6 @@ correspondence, and the outer matrices differ in that one line only.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import combinations_with_replacement
@@ -228,6 +227,11 @@ def enumerate_choices_2d(s: FlowSystem, orbit_name: str) -> list[ChoiceDescripto
     p and q are named ``p_<orbit>`` and ``q_<orbit>``, or, when s already
     has an element of that name, the first free ``p_<orbit>_<k>`` (k = 2,
     3, ...), and likewise for q.
+
+    Every choice shares one side, the orbit's downstream (repelling) or
+    upstream (attracting) counts, frozen and checked once.  The names are
+    element names, built from one or the shared side's, so each descriptor
+    is built from checked fields.
     """
     if s.dimension != 2:
         raise ValueError(f"choice enumeration is only defined in dimension 2 (got {s.dimension})")
@@ -241,24 +245,28 @@ def enumerate_choices_2d(s: FlowSystem, orbit_name: str) -> list[ChoiceDescripto
     q_name = _fresh_name(s, f"q_{orbit_name}")
     down = s.connections.outgoing(orbit_name)
     up = s.connections.incoming(orbit_name)
-    choices: list[ChoiceDescriptor] = []
 
-    if gamma.index == s.dimension - 1:  # repelling orbit
+    if repelling := gamma.index == s.dimension - 1:
         if up:
             raise ValueError(f"repelling orbit {orbit_name} has upstream connections; system is invalid")
-        landing = [e.name for e in s.elements if e.name in down and e.index == 0]
-        for pair in combinations_with_replacement(landing, 2):
-            choices.append(ChoiceDescriptor(orbit_name, p_name, q_name, p_out=down, q_out=Counter(pair)))
-    else:  # attracting orbit
+        ends = [e.name for e in s.elements if e.name in down and e.index == 0]  # where the saddle's separatrices land
+    else:
         if down:
             raise ValueError(f"attracting orbit {orbit_name} has downstream connections; system is invalid")
-        feeders = [
+        ends = [  # what feeds the saddle
             e.name
             for e in s.elements
             if e.name in up and ((e.is_rest and e.index == s.dimension) or (e.is_orbit and e.index == s.dimension - 1))
         ]
-        for pair in combinations_with_replacement(feeders, 2):
-            choices.append(ChoiceDescriptor(orbit_name, p_name, q_name, q_in=up, p_in=Counter(pair)))
+    shared = _freeze_counts(down if repelling else up) if ends else ()
+    choices: list[ChoiceDescriptor] = []
+    for x, y in combinations_with_replacement(ends, 2):
+        pair = ((x, 2),) if x == y else ((x, 1), (y, 1)) if x < y else ((y, 1), (x, 1))
+        sides = (shared, pair, (), ()) if repelling else ((), (), pair, shared)
+        # fields set one by one in __init__'s order, as flowdata._element does, so d keeps the shared-key dict
+        choices.append(d := object.__new__(ChoiceDescriptor))
+        for name, value in zip(ChoiceDescriptor.__dataclass_fields__, (orbit_name, p_name, q_name, *sides)):
+            object.__setattr__(d, name, value)
     return choices
 
 

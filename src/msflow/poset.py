@@ -327,30 +327,38 @@ def _profile_certificate(pa: Profile, pb: Profile) -> str | None:
 
 
 def _search_plan(a: LabeledPoset, sig_a: Sequence) -> tuple:
-    """The part of the search that depends on side a alone: a's node indices
-    in search order, their signatures, and per depth that node's stand: the
-    open nodes below it, those above it, and how many placed nodes it is
-    comparable to.  The order (VF2++'s; Juttner & Madarasi, 2018) starts at
-    the node of fewest of equal signature, then by name, and goes on to the
-    open node comparable to the most placed ones, ties by that rank."""
-    n, count = len(a), Counter(sig_a)
-    rank = sorted(range(n), key=lambda i: (count[sig_a[i]], a._nodes[i]))
-    key = [0] * n  # each node's latest heap entry: rank - n * placed comparable nodes
-    for r, i in enumerate(rank):
-        key[i] = r
-    heap, open_, order, stands = list(range(n)), (1 << n) - 1, [], []
-    while heap:
-        entry = heappop(heap)
-        if entry != key[i := rank[entry % n]]:
-            continue
-        open_ ^= 1 << i
-        below, above = bits(a._down[i] & open_), bits(a._up[i] & open_)
-        for k in below + above:
-            key[k] -= n
-            heappush(heap, key[k])
-        order.append(i)
-        stands.append((below, above, (entry % n - entry) // n))
-    return order, [sig_a[i] for i in order], stands
+    """The part of the search that depends on side a alone, as
+    ``(nodes, stands, sig_a, step)``: a's node indices in search order and
+    per depth that node's stand (the open nodes below it, those above it,
+    and how many placed nodes it is comparable to), each as deep as worked
+    out so far.  ``next(step)`` works out one more depth in place from the
+    heap state it keeps, so searches work a plan out only as deep as they
+    go.  The order (VF2++'s; Juttner & Madarasi, 2018) starts at the node of
+    fewest of equal signature, then by name, and goes on to the open node
+    comparable to the most placed ones, ties by that rank."""
+    nodes, stands = [], []
+
+    def steps():
+        n, count = len(a), Counter(sig_a)
+        rank = sorted(range(n), key=lambda i: (count[sig_a[i]], a._nodes[i]))
+        key = [0] * n  # each node's latest heap entry: rank - n * placed comparable nodes
+        for r, i in enumerate(rank):
+            key[i] = r
+        heap, open_ = list(range(n)), (1 << n) - 1
+        while heap:
+            entry = heappop(heap)
+            if entry != key[i := rank[entry % n]]:
+                continue
+            open_ ^= 1 << i
+            below, above = bits(a._down[i] & open_), bits(a._up[i] & open_)
+            for k in below + above:
+                key[k] -= n
+                heappush(heap, key[k])
+            nodes.append(i)
+            stands.append((below, above, (entry % n - entry) // n))
+            yield
+
+    return nodes, stands, sig_a, steps()
 
 
 def _search_isomorphism(
@@ -363,7 +371,9 @@ def _search_isomorphism(
     _signatures); ``order`` is b's node indices in name order.  The caller
     vouches that the two signature multisets agree: is_isomorphic searches
     only when the profiles do, census only within a key.  The stack is
-    explicit, so long chains need no recursion.
+    explicit, so long chains need no recursion.  A depth's candidates are
+    listed, and the plan worked out that deep, when a search first comes to
+    it; the inner loop runs among the depths entered and pays nothing.
 
     Forward checking (Haralick & Elliott, 1980): each of a's nodes keeps a
     domain, the mask of b's nodes still open to it.  Placing x on y narrows
@@ -373,7 +383,7 @@ def _search_isomorphism(
     as many placed nodes as x, which narrowing has paired off.  Only
     subtrees without a solution are cut, so the witness is the one plain
     backtracking in this order finds."""
-    nodes, sigs, stands = plan
+    nodes, stands, sig_a, step = plan
     groups = {}  # signature -> [b's nodes with it in name order, their mask]
     for j in order:
         if (group := groups.get(sig := sig_b[j])) is None:
@@ -381,17 +391,8 @@ def _search_isomorphism(
         else:
             group[0].append(j)
             group[1] |= 1 << j
-
-    # Same name first among candidates (in name order): self-comparisons map
-    # by identity.  Depths share a group unless its same-name node must move.
-    options, domain = [], [0] * len(nodes)
-    for i, sig in zip(nodes, sigs):
-        group, domain[i] = groups[sig]
-        if len(group) > 1 and (j := b._index.get(a._nodes[i])) != group[0] and j is not None and domain[i] >> j & 1:
-            group = [j, *group]
-            del group[group.index(j, 1)]
-        options.append(group)
-    down, up, trail = b._down, b._up, []  # trail: (depth that narrowed, a's node, its old domain)
+    domain = [groups[sig][1] for sig in sig_a]
+    options, down, up, trail = [], b._down, b._up, []  # trail: (depth that narrowed, a's node, its old domain)
 
     def undo(depth: int) -> None:
         while trail and trail[-1][0] >= depth:
@@ -410,25 +411,35 @@ def _search_isomorphism(
 
     # next_option[d]: where the search resumes among options[d] when it
     # comes back to depth d; used: b's nodes taken by depths above it.
-    next_option, used, depth = [0] * len(nodes), 0, 0
-    while 0 <= depth < len(nodes):
-        opts, i = options[depth], next_option[depth]
-        if i:  # back from a failed deeper depth: take this depth's choice back
-            undo(depth)
-            used ^= 1 << opts[i - 1]
-        free, (below, above, placed) = domain[nodes[depth]] & ~used, stands[depth]
-        while i < len(opts) and not (
-            free >> (y := opts[i]) & 1 and ((down[y] | up[y]) & used).bit_count() == placed
-            and narrow(depth, below, down[y]) and narrow(depth, above, up[y])
-        ):
-            i += 1
-        if i == len(opts):
-            next_option[depth] = 0
-            depth -= 1
-        else:
-            next_option[depth] = i + 1
-            used |= 1 << opts[i]
-            depth += 1
+    next_option, used, depth = [0] * len(sig_a), 0, 0
+    while 0 <= depth < len(sig_a):  # at a depth entered for the first time
+        if depth == len(nodes):
+            next(step)
+        # Same name first among candidates (in name order): self-comparisons map
+        # by identity.  Depths share a group unless its same-name node must move.
+        opts, mask = groups[sig_a[x := nodes[depth]]]
+        if len(opts) > 1 and (j := b._index.get(a._nodes[x])) != opts[0] and j is not None and mask >> j & 1:
+            opts = [j, *opts]
+            del opts[opts.index(j, 1)]
+        options.append(opts)
+        while 0 <= depth < len(options):  # search among the depths entered so far
+            opts, i = options[depth], next_option[depth]
+            if i:  # back from a failed deeper depth: take this depth's choice back
+                undo(depth)
+                used ^= 1 << opts[i - 1]
+            free, (below, above, placed) = domain[nodes[depth]] & ~used, stands[depth]
+            while i < len(opts) and not (
+                free >> (y := opts[i]) & 1 and ((down[y] | up[y]) & used).bit_count() == placed
+                and narrow(depth, below, down[y]) and narrow(depth, above, up[y])
+            ):
+                i += 1
+            if i == len(opts):
+                next_option[depth] = 0
+                depth -= 1
+            else:
+                next_option[depth] = i + 1
+                used |= 1 << opts[i]
+                depth += 1
     return None if depth < 0 else [opts[k - 1] for opts, k in zip(options, next_option)]
 
 
@@ -574,15 +585,18 @@ def census(s: FlowSystem) -> CensusReport:
     same nodes in the same order, an orbit's p and q in its slot.  Pass 1
     reads each node's choices off _resolution_tree, which refuses an invalid
     input, and keeps each leaf's ids by depth.  A choice gets its id at the
-    first node that takes it, interned from its orbit and sides, with its q
-    and p rows (edges to orbits not yet resolved left out: they come back
-    with that orbit's choice) and its image's id under each generator: each
-    symmetry of s next to its orbits (see _automorphisms) and each swap of
-    two twins adjacent in their class (see _twins).  These generate every
-    local symmetry, and the walk commutes with each, so a generator carries
-    a leaf onto the leaf whose ids are its ids mapped, depths moved with
-    the orbits (orbits stay put where two are joined, see _automorphisms).
-    Those images are looked up in bulk off the leaves' id columns, and one
+    first node that takes it, interned from its orbit and its sides' ids,
+    with its q and p rows (edges to orbits not yet resolved left out: they
+    come back with that orbit's choice) and its image's id under each
+    generator: each symmetry of s next to its orbits (see _automorphisms)
+    and each swap of two twins adjacent in their class (see _twins).  A
+    side, keyed on the object as a choice is (an enumeration's choices
+    share one, see enumerate_choices_2d), gets its id and its image's id
+    under each generator once.  The generators give every local symmetry,
+    and the walk commutes with each, so a generator carries a leaf onto the
+    leaf whose ids are its ids mapped, depths moved with the orbits (orbits
+    stay put where two are joined, see _automorphisms).  The leaves'
+    images are looked up in bulk off their id columns, and one
     breadth-first search labels each leaf with the first leaf of its orbit.
 
     Pass 2 takes the leaves in order.  A leaf that is not the first of its
@@ -592,8 +606,9 @@ def census(s: FlowSystem) -> CensusReport:
     then p at each depth, and reads its face poset off them.  Each node's
     signature (see _signatures, on label masks built once per call) is
     interned as an int local to the call, and the poset is searched only
-    against the classes whose key, the sorted ids, it shares, from a plan
-    built on each class's first poset at its first search."""
+    against the classes whose key, the sorted ids, it shares, from a plan of
+    each class's first poset that its first search starts and every search
+    works out only as deep as it goes (see _search_plan)."""
     at, slots, labels = {}, {}, []  # each node's index and each orbit's p index, by name; the final labels
     for e in s.elements:
         (slots if e.is_orbit else at)[e.name] = len(labels)
@@ -605,8 +620,10 @@ def census(s: FlowSystem) -> CensusReport:
             children[at[src]].append(at[dst])
     twins = _twins(s, hood := _neighbourhoods(s))
     moves = _automorphisms(s, hood, twins) + [{a: b, b: a} for g in twins for a, b in zip(g, g[1:])]
-    content = defaultdict(itertools.count().__next__)  # a choice's (orbit, sides) -> its id, at its first lookup
+    content = defaultdict(itertools.count().__next__)  # a choice's (orbit, side ids), or a side -> its id, at its first lookup
     known, rows, images = {}, {}, [{} for _ in moves]  # id(choice) -> its id; per id, q's and p's rows, and its image's id per move
+    mapped = {}  # id(side) -> its id and its image's id under each move
+    side_ids = lambda side: [content[side], *(content[tuple(sorted((to.get(x, x), n) for x, n in side))] for to in moves)]  # noqa: E731
     leaves, keys, path = [], [], [0] * len(orbits)  # each leaf's choices and its ids by depth
     for chosen in _resolution_tree(s):
         if depth := len(chosen):
@@ -616,10 +633,11 @@ def census(s: FlowSystem) -> CensusReport:
                 later = orbits[depth:]  # edges to these come back with their choices
                 look = lambda side: [at[x] for x, _ in side if x not in later]  # noqa: E731
                 sides = (d.p_out, d.q_out, d.p_in, d.q_in)
-                c = known[id(d)] = content[(d.orbit, *sides)]
+                own, *moved = zip(*(mapped.get(id(x)) or mapped.setdefault(id(x), side_ids(x)) for x in sides))
+                c = known[id(d)] = content[(d.orbit, *own)]
                 rows[c] = (p + 1, look(d.q_out), look(d.q_in)), (p, look(((d.q_name, 2),) + d.p_out), look(d.p_in))
-                for to, image in zip(moves, images):
-                    image[c] = content[(to.get(d.orbit, d.orbit), *(tuple(sorted((to.get(x, x), n) for x, n in side)) for side in sides))]
+                for to, image, ids in zip(moves, images, moved):
+                    image[c] = content[(to.get(d.orbit, d.orbit), *ids)]
             path[depth - 1] = c
         if depth == len(orbits):
             leaves.append(chosen)

@@ -2,8 +2,11 @@
 admissible reconnections, the three structural claims relating the complexes
 before and after, and full resolution to gradient-like systems."""
 
+import json
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +32,7 @@ from msflow import (
 )
 from msflow import ParseError
 from msflow import perturb as perturb_module
+from msflow.cli import descriptor_payload
 from msflow.perturb import _replace_orbit, _resolution_tree, validate_choice
 
 from conftest import (
@@ -280,6 +284,30 @@ def test_attracting_orbit_enumeration_mirrors():
             assert (result.system.element("p_g").index, result.system.element("q_g").index) == (1, 0)
             assert result.claims_report.case == "attractor"
             assert result.claims_report.all_passed
+
+
+def test_enumerated_descriptors_are_the_public_constructors_ones():
+    # Landing sinks and feeders are declared against name order (a feeder
+    # may be a repelling orbit), so a pair side left in declaration order
+    # would differ from the constructor's sorted one.  Each choice shares
+    # its orbit's down or up side.
+    repelling = parse("dim 2\nrest z 0\nrest m 0\nrest a 0\norbit g 1 untwisted\nconn g z 1\nconn g m 2\nconn g a 1\n")
+    attracting = parse(
+        "dim 2\nrest z 2\norbit r 1 twisted\nrest a 2\norbit h 0 untwisted\nrest s 0\n"
+        "conn z h 1\nconn r h 1\nconn a h 3\nconn r s 1\n"
+    )
+    for s, orbit, shared, pool in ((repelling, "g", "p_out", "zma"), (attracting, "h", "q_in", "zra")):
+        down, up = s.connections.outgoing(orbit), s.connections.incoming(orbit)
+        got = enumerate_choices_2d(s, orbit)
+        pairs = [Counter(pair) for pair in combinations_with_replacement(pool, 2)]
+        if orbit == "g":
+            expected = [ChoiceDescriptor(orbit, "p_g", "q_g", p_out=down, q_out=pair) for pair in pairs]
+        else:
+            expected = [ChoiceDescriptor(orbit, "p_h", "q_h", q_in=up, p_in=pair) for pair in pairs]
+        assert len(got) == 6 and len({id(getattr(d, shared)) for d in got}) == 1
+        for d, e in zip(got, expected, strict=True):
+            assert d == e and hash(d) == hash(e) and repr(d) == repr(e) and d.summary() == e.summary()
+            assert json.dumps(descriptor_payload(d)) == json.dumps(descriptor_payload(e))
 
 
 def test_default_names_skip_names_already_taken():

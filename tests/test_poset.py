@@ -510,7 +510,7 @@ def searches_checked():
 
     def checked(a, b, plan, sig_b, order):
         assert sorted(reference_signatures(a)) == sorted(reference_signatures(b))
-        assert sorted(plan[1]) == sorted(sig_b) and len(plan[0]) == len(order) == len(b)
+        assert sorted(plan[2]) == sorted(sig_b) and len(plan[2]) == len(order) == len(b)
         images = original(a, b, plan, sig_b, order)
         assert images is None or sorted(images) == list(range(len(b)))  # one of b's indices per node of a
         found.append(images is not None)
@@ -556,9 +556,16 @@ def reference_plan(a: LabeledPoset, sig_a):
     return order, [sig_a[i] for i in order], stands
 
 
+def worked_out(plan):
+    """``plan`` (see _search_plan) with every depth worked out, in place."""
+    for _ in plan[3]:
+        pass
+    return plan
+
+
 def assert_plan_is_the_reference(a: LabeledPoset, sig_a):
-    plan = _search_plan(a, sig_a)
-    assert plan == reference_plan(a, sig_a)
+    nodes, stands, sig, _ = plan = worked_out(_search_plan(a, sig_a))
+    assert (nodes, [sig[i] for i in nodes], stands) == reference_plan(a, sig_a)
     return plan
 
 
@@ -590,6 +597,67 @@ def test_census_plans_match_the_definition(monkeypatch):
     monkeypatch.setattr(poset_module, "_search_plan", checked)
     census(orbits_over_sinks(3, 4, 2))
     assert planned
+
+
+class Deepest(list):
+    """A plan's stands that keep the deepest depth a search reads: the
+    search reads its depth's stand each time it comes to a depth."""
+
+    deepest = -1
+
+    def __getitem__(self, depth):
+        self.deepest = max(self.deepest, depth)
+        return super().__getitem__(depth)
+
+
+def test_census_plans_each_class_only_as_deep_as_its_searches_go(monkeypatch):
+    # Every census search is run again from a fully worked-out plan whose
+    # stands keep the deepest depth read.  Both give the same answer, and
+    # each class's plan ends exactly one longer than the deepest depth any
+    # search from it reached, so no plan is worked out deeper than a search
+    # went.  In the (3, 6, 3) family most searches fail within a few depths,
+    # and its 64 plans hold 211 of 768 depths; the skewed system's searches
+    # mostly succeed and go to the last depth.
+    search, plans = poset_module._search_isomorphism, {}  # id(plan) -> [plan, its searches' deepest depth]
+
+    def checked(a, b, plan, sig_b, order):
+        images = search(a, b, plan, sig_b, order)
+        nodes, stands, sig_a, step = worked_out(_search_plan(a, plan[2]))
+        eager = nodes, Deepest(stands), sig_a, step
+        assert search(a, b, eager, sig_b, order) == images
+        entry = plans.setdefault(id(plan), [plan, -1])
+        entry[1] = max(entry[1], eager[1].deepest)
+        return images
+
+    monkeypatch.setattr(poset_module, "_search_isomorphism", checked)
+    # (plans, depths worked out, depths in all) per system
+    expected = [(64, 211, 768), (1, 1, 10), (105, 1236, 1260), (37, 506, 518)]
+    for s, counts in zip((orbits_over_sinks(3, 6, 3), orbits_over_sinks(2, 6, 5), skewed(3, 6, 3), skewed(4, 6, 2)), expected):
+        plans.clear()
+        census(s)
+        assert all(len(plan[0]) == len(plan[1]) == deepest + 1 for plan, deepest in plans.values())
+        assert (len(plans), sum(len(plan[0]) for plan, _ in plans.values()), sum(len(plan[2]) for plan, _ in plans.values())) == counts
+
+
+def test_a_deeper_second_search_extends_the_plan_in_place():
+    # Two 4-cycles against one 8-cycle: the search fails before leaving the
+    # first 4-cycle.  Against a renamed copy it goes to the last depth, on
+    # the same plan, which grows past the first search's depths in place.
+    a, eight, copy = cycles([4, 4], "a"), cycles([8], "b"), cycles([4, 4], "c")
+    plan = _search_plan(a, sig_a := reference_signatures(a))
+    nodes, stands = plan[0], plan[1]
+    depths, found = [], []
+    for b in (eight, copy):
+        sig_b, order = reference_signatures(b), sorted(range(len(b)), key=b.nodes.__getitem__)
+        found.append(_search_isomorphism(a, b, plan, sig_b, order))
+        assert found[-1] == _search_isomorphism(a, b, worked_out(_search_plan(a, sig_a)), sig_b, order)
+        depths.append((list(nodes), list(stands)))
+    (first_nodes, first_stands), (then_nodes, then_stands) = depths
+    assert found[0] is None and found[1] is not None
+    assert 0 < len(first_nodes) < len(then_nodes) == len(a)
+    assert then_nodes[: len(first_nodes)] == first_nodes and then_stands[: len(first_stands)] == first_stands
+    assert plan[0] is nodes and plan[1] is stands
+    assert assert_plan_is_the_reference(a, sig_a)[:2] == (nodes, stands)
 
 
 def reference_search(a: LabeledPoset, b: LabeledPoset):
@@ -1135,7 +1203,7 @@ def census_keyed_on_signatures(s):
         order = sorted(range(len(poset)), key=poset.nodes.__getitem__)
         bucket = by_key.setdefault(tuple(sorted(sig)), [])
         for cls in bucket:
-            cls[2] = cls[2] or poset_module._search_plan(cls[0], cls[1])
+            cls[2] = cls[2] or worked_out(poset_module._search_plan(cls[0], cls[1]))
             if poset_module._search_isomorphism(cls[0], poset, cls[2], sig, order) is not None:
                 break
         else:
