@@ -414,7 +414,3 @@ def run(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as err:  # parse, choice and validation errors are ValueErrors
         print(f"msflow: error: {err}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(run())

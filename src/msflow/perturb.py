@@ -161,12 +161,9 @@ def validate_choice(s: FlowSystem, d: ChoiceDescriptor) -> None:
             direction = "downstream" if tag.endswith("out") else "upstream"
             raise ChoiceError("support", f"{tag} targets {stray} are not {direction} of {d.orbit}")
 
-    uncovered_down = sorted(set(down).difference(dict(d.p_out), dict(d.q_out)))
-    if uncovered_down:
-        raise ChoiceError("coverage", f"downstream element(s) {uncovered_down} of {d.orbit} received no new connection")
-    uncovered_up = sorted(set(up).difference(dict(d.p_in), dict(d.q_in)))
-    if uncovered_up:
-        raise ChoiceError("coverage", f"upstream element(s) {uncovered_up} of {d.orbit} received no new connection")
+    for direction, allowed, sides in (("downstream", down, (d.p_out, d.q_out)), ("upstream", up, (d.p_in, d.q_in))):
+        if uncovered := sorted(set(allowed).difference(*map(dict, sides))):
+            raise ChoiceError("coverage", f"{direction} element(s) {uncovered} of {d.orbit} received no new connection")
 
 
 def apply_choice(s: FlowSystem, d: ChoiceDescriptor) -> PerturbationResult:

@@ -575,50 +575,26 @@ def _automorphisms(s: FlowSystem, hood: Mapping, twins: Sequence[Sequence[str]],
     return [moved for moved in found if moved]
 
 
-def census(s: FlowSystem) -> CensusReport:
-    """Resolve every orbit in all enumerable ways and group the resulting
-    gradient-like systems by face-poset isomorphism.  Classes are reported in
-    order of first appearance; a gradient input yields a single class.
-
-    census builds no leaf system (the walk builds a partial one only to
-    enumerate an orbit's choices it has not met); every resolution has the
-    same nodes in the same order, an orbit's p and q in its slot.  Pass 1
-    reads each node's choices off _resolution_tree, which refuses an invalid
-    input, and keeps each leaf's ids by depth.  A choice gets its id at the
-    first node that takes it, interned from its orbit and its sides' ids,
-    with its q and p rows (edges to orbits not yet resolved left out: they
-    come back with that orbit's choice) and its image's id under each
-    generator: each symmetry of s next to its orbits (see _automorphisms)
-    and each swap of two twins adjacent in their class (see _twins).  A
-    side, keyed on the object as a choice is (an enumeration's choices
-    share one, see enumerate_choices_2d), gets its id and its image's id
-    under each generator once.  The generators give every local symmetry,
-    and the walk commutes with each, so a generator carries a leaf onto the
-    leaf whose ids are its ids mapped, depths moved with the orbits (orbits
-    stay put where two are joined, see _automorphisms).  The leaves'
+def _leaf_orbits(s: FlowSystem, at: dict[str, int], slots: Mapping[str, int]) -> tuple[list, list, dict, list]:
+    """Census's pass 1: each leaf of _resolution_tree (which refuses an
+    invalid input), its ids by depth, each id's q and p rows, and each
+    leaf's first leaf of its symmetry orbit.  Every resolution has the same
+    nodes in the same order, so at (each node's index by name) gains each
+    orbit's p and q once, in the orbit's slot of slots.  A choice gets
+    its id at the first node that takes it, interned from its orbit and its
+    sides' ids, with its q and p rows (edges to orbits not yet resolved left
+    out: they come back with that orbit's choice) and its image's id under
+    each generator: each symmetry of s next to its orbits (see
+    _automorphisms) and each swap of two twins adjacent in their class (see
+    _twins).  A side, keyed on the object as a choice is (an enumeration's
+    choices share one, see enumerate_choices_2d), gets its id and its
+    image's id under each generator once.  The generators give every local
+    symmetry, and the walk commutes with each, so a generator carries a leaf
+    onto the leaf whose ids are its ids mapped, depths moved with the orbits
+    (orbits stay put where two are joined, see _automorphisms).  The leaves'
     images are looked up in bulk off their id columns, and one
-    breadth-first search labels each leaf with the first leaf of its orbit.
-
-    Pass 2 takes the leaves in order.  A leaf that is not the first of its
-    orbit joins that leaf's class with no masks, poset or search.  Any
-    other leaf grows the previous such leaf's masks (the orbit-free part is
-    closed once) from the first depth where their ids differ, adding q and
-    then p at each depth, and reads its face poset off them.  Each node's
-    signature (see _signatures, on label masks built once per call) is
-    interned as an int local to the call, and the poset is searched only
-    against the classes whose key, the sorted ids, it shares, from a plan of
-    each class's first poset that its first search starts and every search
-    works out only as deep as it goes (see _search_plan)."""
-    at, slots, labels = {}, {}, []  # each node's index and each orbit's p index, by name; the final labels
-    for e in s.elements:
-        (slots if e.is_orbit else at)[e.name] = len(labels)
-        labels += [e.index + 1, e.index] if e.is_orbit else [e.index]
-    orbits = list(slots)
-    children: list[list[int]] = [[] for _ in labels]
-    for src, dst in s.connections.pairs():
-        if src in at and dst in at:
-            children[at[src]].append(at[dst])
-    twins = _twins(s, hood := _neighbourhoods(s))
+    breadth-first search labels each leaf with the first leaf of its orbit."""
+    orbits, twins = list(slots), _twins(s, hood := _neighbourhoods(s))
     moves = _automorphisms(s, hood, twins) + [{a: b, b: a} for g in twins for a, b in zip(g, g[1:])]
     content = defaultdict(itertools.count().__next__)  # a choice's (orbit, side ids), or a side -> its id, at its first lookup
     known, rows, images = {}, {}, [{} for _ in moves]  # id(choice) -> its id; per id, q's and p's rows, and its image's id per move
@@ -657,6 +633,36 @@ def census(s: FlowSystem) -> CensusReport:
                     if (y := arrow[x]) is not None and first[y] is None:
                         first[y] = i
                         queue.append(y)
+    return leaves, keys, rows, first
+
+
+def census(s: FlowSystem) -> CensusReport:
+    """Resolve every orbit in all enumerable ways and group the resulting
+    gradient-like systems by face-poset isomorphism.  Classes are reported in
+    order of first appearance; a gradient input yields a single class.
+
+    census builds no leaf system (the walk builds a partial one only to
+    enumerate an orbit's choices it has not met); pass 1 is _leaf_orbits.
+
+    Pass 2 takes the leaves in order.  A leaf that is not the first of its
+    orbit joins that leaf's class with no masks, poset or search.  Any
+    other leaf grows the previous such leaf's masks (the orbit-free part is
+    closed once) from the first depth where their ids differ, adding q and
+    then p at each depth, and reads its face poset off them.  Each node's
+    signature (see _signatures, on label masks built once per call) is
+    interned as an int local to the call, and the poset is searched only
+    against the classes whose key, the sorted ids, it shares, from a plan of
+    each class's first poset that its first search starts and every search
+    works out only as deep as it goes (see _search_plan)."""
+    at, slots, labels = {}, {}, []  # each node's index and each orbit's p index, by name; the final labels
+    for e in s.elements:
+        (slots if e.is_orbit else at)[e.name] = len(labels)
+        labels += [e.index + 1, e.index] if e.is_orbit else [e.index]
+    children: list[list[int]] = [[] for _ in labels]
+    for src, dst in s.connections.pairs():
+        if src in at and dst in at:
+            children[at[src]].append(at[dst])
+    leaves, keys, rows, first = _leaf_orbits(s, at, slots)
     nodes, labels = tuple(sorted(at, key=at.get)), tuple(labels)
     order, by_label = sorted(range(len(nodes)), key=nodes.__getitem__), _label_masks(labels)[1]
     masks, done = [closure_masks(children)], ()  # (down, up) at each depth of the last searched leaf, and its ids

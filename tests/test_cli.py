@@ -141,6 +141,20 @@ def test_complex_rendering_matches_golden(capsys, name):
     assert out == (GOLDEN_DIR / f"{name}_complex.txt").read_text()
 
 
+def test_complex_renders_an_empty_degree(capsys, tmp_path):
+    lone = tmp_path / "lone.msf"
+    lone.write_text("dim 2\nrest a 0\n")
+    code, out, _ = run_cli(capsys, "complex", str(lone))
+    assert code == 0
+    assert out == (
+        "chain complex of lone (top degree 2)\n"
+        "B_2: (empty)\nB_1: (empty)\nB_0: a\n"
+        "d_2 (rows B_1, cols B_2):\n  (empty)\n"
+        "d_1 (rows B_0, cols B_1):\n  (empty)\n"
+        "euler characteristic: 1\n"
+    )
+
+
 def test_homology_text(capsys):
     code, out, _ = run_cli(capsys, "homology", "fig5.msf")
     assert code == 0
@@ -368,6 +382,34 @@ def test_perturb_choice_refuses_an_invalid_input_outside_dimension_two(capsys, t
     assert err == f"msflow: error: {InvalidSystemError(validate(parse(text)))}\n"
     assert err.startswith("msflow: error: system fails validation: ")
     assert not target.exists()
+
+
+def test_perturb_choice_outside_dimension_two_evaluates_no_claims(capsys, tmp_path):
+    choice = tmp_path / "choice.msc"
+    choice.write_text("orbit gamma\nnew p_g q_g\npin p1 2\nqin p2 1\nqin p3 1\nqin s1 1\nqin s2 2\n")
+    target = tmp_path / "result.msf"
+    code, out, _ = run_cli(capsys, "perturb", "fig6.msf", "--orbit", "gamma", "--choice", str(choice), "--out", str(target))
+    assert code == 0
+    assert out == f"wrote {target}  [orbit gamma -> (p_g, q_g) p_in={{p1:2}} q_in={{p2:1, p3:1, s1:1, s2:2}}]  claims: (not evaluated)\n"
+    code, payload, _ = run_json(capsys, "perturb", "fig6.msf", "--orbit", "gamma", "--choice", str(choice))
+    assert code == 0
+    assert payload["claims"] is None
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("validate", "twice.msf", "dim 2\nexpect-betti 1 0 1\nexpect-betti 1 0 1\n", "line 3: duplicate expect-betti directive"),
+    ("poset", "bad.pos", "node 9a 1\n", "line 1: invalid name '9a'"),
+    ("poset", "self.pos", "node a 1\nlt a a\n", "line 2: lt needs two distinct nodes, got 'a' twice"),
+    ("perturb", "orbit.msc", "orbit gamma\norbit gamma\n", "line 2: duplicate orbit directive"),
+    ("perturb", "new.msc", "orbit gamma\nnew p q\nnew p q\n", "line 3: duplicate new directive"),
+    ("perturb", "map.msc", "orbit gamma\nnew p q\npout q0 1\npout q0 1\n", "line 4: duplicate pout line for 'q0'"),
+], ids=["expect-betti", "node-name", "lt-self", "orbit", "new", "map"])
+def test_repeated_and_invalid_lines_are_input_errors(capsys, tmp_path, command, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = ["perturb", "fig3.msf", "--orbit", "gamma", "--choice", str(path)] if command == "perturb" else [command, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"msflow: error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ def test_element_index_validation():
         CriticalElement("g", "orbit", 1)  # orbits must declare twistedness
     with pytest.raises(ValueError):
         CriticalElement("2bad", "rest", 0)
+    with pytest.raises(ValueError, match=r"^invalid element kind 'saddle'$"):
+        CriticalElement("p", "saddle", 1)
 
 
 def test_connection_map_rejects_self_pairs_and_bad_counts():
@@ -155,6 +157,7 @@ def test_a_byte_order_mark_elsewhere_is_refused(parser, text, line):
         ("dim 2\nfrob a b\n", "unknown directive"),
         ("dim 2\nlabel x\nlabel y\n", "duplicate"),
         ("dim 2\nexpect-betti 1 0\n", "expect-betti"),
+        ("dim 2\nexpect-betti 1 0 1\nrest a 0\nexpect-betti 1 0 1\n", "line 4: duplicate expect-betti directive"),
         ("dim 2\nrest 9lives 0\n", "name"),
     ],
 )

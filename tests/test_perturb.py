@@ -96,6 +96,24 @@ def test_choice_must_cover_every_neighbour(fig3):
     assert "q2" in str(exc.value)
 
 
+def test_choice_must_cover_every_upstream_neighbour(fig6):
+    # fig6's attracting orbit has no downstream side, so only the upstream
+    # coverage check can refuse this.
+    d = ChoiceDescriptor(orbit="gamma", p_name="p", q_name="q", p_in={"p1": 2}, q_in={"p2": 1, "p3": 1, "s1": 1})
+    with pytest.raises(ChoiceError) as exc:
+        validate_choice(fig6, d)
+    assert str(exc.value) == "coverage: upstream element(s) ['s2'] of gamma received no new connection"
+
+
+def test_every_support_check_comes_before_either_coverage_check(fig3):
+    # q1, q2 and s are uncovered downstream, and the stray upstream target
+    # comes last of the four support checks.
+    d = ChoiceDescriptor(orbit="gamma", p_name="p", q_name="q", p_out={"q0": 1}, q_in={"q1": 1})
+    with pytest.raises(ChoiceError) as exc:
+        validate_choice(fig3, d)
+    assert str(exc.value) == "support: q_in targets ['q1'] are not upstream of gamma"
+
+
 def test_choice_respects_dimension_rule(fig3):
     # q sits at index 1; a q -> saddle connection would need u+s = 1+1 >= 3.
     # validate_choice leaves the flow rules to validate, which apply_choice
@@ -342,6 +360,19 @@ def test_enumeration_rejects_unsupported_inputs(fig6, fig5):
         enumerate_choices_2d(fig5, "s1")  # not an orbit
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dim 2\nrest a 0\norbit g 2 untwisted\n", "orbit index 2 outside the handled range {0, 1}"),
+    ("dim 2\nrest a 0\nrest b 1\norbit g 1 untwisted\nconn b g 1\nconn g a 1\n",
+     "repelling orbit g has upstream connections; system is invalid"),
+    ("dim 2\nrest a 0\nrest b 2\norbit g 0 untwisted\nconn b g 1\nconn g a 1\n",
+     "attracting orbit g has downstream connections; system is invalid"),
+], ids=["index", "repelling", "attracting"])
+def test_enumeration_refuses_an_invalid_system(text, message):
+    with pytest.raises(ValueError) as exc:
+        enumerate_choices_2d(parse(text), "g")
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the three claims
 
@@ -367,6 +398,16 @@ def test_every_choice_on_random_systems_validates_and_passes_the_claims(seed):
             result = apply_choice(s, choice)
             assert validate(result.system) == [], choice.summary()
             assert result.claims_report.all_passed, choice.summary()
+
+
+def test_claims_are_refused_outside_dimension_two_and_off_an_orbit(fig3, fig6):
+    result = apply_choice(fig3, fig3_choices(fig3)[0])
+    with pytest.raises(ValueError) as exc:
+        verify_franks_claims(fig6, result)
+    assert str(exc.value) == "claim verification is defined for 2-dimensional systems"
+    with pytest.raises(ValueError) as exc:
+        verify_franks_claims(fig3, replace(result, choice=ChoiceDescriptor(orbit="s", p_name="p", q_name="q")))
+    assert str(exc.value) == "s is not a closed orbit"
 
 
 def test_claims_report_carries_witnesses(fig3):
@@ -761,6 +802,24 @@ def test_every_descriptor_that_constructs_survives_a_round_trip(names, maps):
 def test_descriptor_names_that_would_not_read_back_are_refused(names, p_out):
     with pytest.raises(ValueError, match="must be one token"):
         ChoiceDescriptor(*names, p_out=p_out)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_descriptor_counts_below_one_are_refused(count):
+    with pytest.raises(ValueError) as exc:
+        ChoiceDescriptor("g", "p", "q", q_in={"a": count})
+    assert str(exc.value) == f"count for 'a' must be a positive integer, got {count}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("orbit g\nnew p q\norbit g\n", "line 3: duplicate orbit directive"),
+    ("orbit g\nnew p q\nnew p q\n", "line 3: duplicate new directive"),
+    ("orbit g\nnew p q\nqin a 1\npout a 1\nqin a 2\n", "line 5: duplicate qin line for 'a'"),
+], ids=["orbit", "new", "map"])
+def test_parse_choice_refuses_a_repeated_line(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_choice(text)
+    assert str(exc.value) == message
 
 
 def test_parse_choice_rejects_malformed_text():

@@ -82,6 +82,23 @@ def test_parse_poset_errors():
         parse_poset("node a 0\nnode b 1\nlt a b\nlt b a\n")  # cycle
 
 
+@pytest.mark.parametrize("text, message", [
+    ("node a 0\nnode 9a 1\n", "line 2: invalid name '9a'"),
+    ("node a 0\nlt a a\n", "line 2: lt needs two distinct nodes, got 'a' twice"),
+], ids=["name", "self"])
+def test_parse_poset_refuses_an_invalid_name_and_a_node_below_itself(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_poset(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("relation", [("a", "b"), ("b", "a")])
+def test_a_relation_to_an_unknown_node_is_refused(relation):
+    with pytest.raises(ValueError) as exc:
+        LabeledPoset({"a": 0}, [relation])
+    assert str(exc.value) == "relation references unknown node 'b'"
+
+
 @pytest.mark.parametrize("token", ["1_0", "+1", "\u0662", "1\u0661", "-1"])
 def test_parse_poset_accepts_only_ascii_digit_labels(token):
     with pytest.raises(ParseError) as exc:
